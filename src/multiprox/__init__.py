@@ -41,7 +41,6 @@ from .federated import (
     derive_fed_params,
     fed_run,
     fed_step,
-    initial_fed_state,
     rescale,
 )
 from .problems import (

@@ -17,17 +17,16 @@ Three experiment families are wired in:
   variant across a grid of coordinate budgets k, with communication ledgers.
 
 Determinism contract: the instance stream is spawned from the base seed,
-replicate r uses the plain seed ``base_seed + r``, aggregation runs in
-replicate order, and CSV bytes depend only on the config. The environment
-variable ``MULTIPROX_THREADS`` sets the number of worker threads for
-replicates (default 1); it changes wall time only, never bytes.
+replicate r uses the plain seed ``base_seed + r``, replicates run and
+aggregate in replicate order, and CSV bytes depend only on the config.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +45,7 @@ from .solver import (
     Constant,
     LyapunovSpec,
     SolverParams,
+    _drive,
     derive_params,
     importance_plan,
     initial_state,
@@ -80,6 +80,23 @@ _EXTRA_KEYS = {
 }
 
 
+_INT_KEYS = ("seed", "replicates", "iterations", "n", "d")
+_REAL_KEYS = ("target", "alpha", "l_max", "mu", "a_offset")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, (list, tuple)) and all(check(v) for v in value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment run. Unset fields resolve to per-experiment defaults."""
@@ -105,6 +122,18 @@ class RunConfig:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
         if self.scale not in SCALES:
             raise ConfigurationError(f"unknown scale {self.scale!r}")
+        for names, check, what in (
+            (_INT_KEYS, _is_int, "an integer"),
+            (_REAL_KEYS, _is_real, "a finite number"),
+            (("grid",), lambda v: _is_list_of(v, _is_real), "a list of finite numbers"),
+            (("k_values",), lambda v: _is_list_of(v, _is_int), "a list of integers"),
+            (("out",), lambda v: isinstance(v, (str, os.PathLike)), "a path"),
+        ):
+            for name in names:
+                v = getattr(self, name)
+                # every key but the seed may stay unset
+                if (v is not None or name == "seed") and not check(v):
+                    raise ConfigurationError(f"{name} must be {what}, got {v!r}")
         for name in ("replicates", "iterations"):
             v = getattr(self, name)
             if v is not None and v < 1:
@@ -294,22 +323,6 @@ class ExperimentResult:
     files: list[str] = field(default_factory=list)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MULTIPROX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(f"MULTIPROX_THREADS must be an integer, got {raw!r}")
-
-
-def _map_replicates(fn, replicates: int):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicates)))
-
-
 def _instance_rng(base_seed: int):
     return generator(seed_sequence(base_seed).spawn(1)[0])
 
@@ -334,7 +347,6 @@ def _solver_replicate(
     rng = generator(seed + replicate)
     state = initial_state(instance, x0=x0, track_z=params.track_z)
     rows: list[TraceRow] = []
-    hit: int | None = None
 
     def record():
         psi = lyapunov(state, instance, params, spec) if spec is not None else None
@@ -347,15 +359,9 @@ def _solver_replicate(
             replicate=replicate,
         ))
 
-    record()
-    for _ in range(T):
-        step(state, instance, params, dist, rng)
-        if target is not None and hit is None and sq_dist(state, instance) <= target:
-            hit = state.t
-            record()
-            break
-        if state.t == T or default_cadence(state.t):
-            record()
+    reached = None if target is None else lambda: sq_dist(state, instance) <= target
+    hit = _drive(state, T, lambda: step(state, instance, params, dist, rng),
+                 record, default_cadence, reached)
     return rows, hit
 
 
@@ -377,11 +383,9 @@ def _run_solver_arm(
         spec = make_lyapunov_spec(variant, instance, dist, params)
         psi0 = lyapunov(initial_state(instance, x0=x0, track_z=params.track_z),
                         instance, params, spec)
-    results = _map_replicates(
-        lambda r: _solver_replicate(instance, params, dist, cfg_seed, r, T,
-                                    spec, psi0, target=target, x0=x0),
-        replicates,
-    )
+    results = [_solver_replicate(instance, params, dist, cfg_seed, r, T,
+                                 spec, psi0, target=target, x0=x0)
+               for r in range(replicates)]
     rows = [row for rep_rows, _ in results for row in rep_rows]
     hits = [hit for _, hit in results]
     info = {
@@ -421,31 +425,22 @@ def _run_fed_arm(
 ) -> ArmResult:
     fed = derive_fed_params(instance, dist, k)
     psi0 = None
+    if fed.rho is not None:
+        # the envelope anchor: the Lyapunov value at the shared initial state
+        spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, fed.effective, fed.solver)
+        psi0 = lyapunov(initial_state(instance, x0=x0), instance, fed.solver, spec)
     rows: list[TraceRow] = []
+    for r in range(replicates):
 
-    def one(r: int) -> list[TraceRow]:
-        local: list[TraceRow] = []
-
-        def sink(t, dist_sq, psi, comm):
-            env = None
-            if fed.rho is not None and psi0 is not None:
-                env = fed.rho**t * psi0
-            local.append(TraceRow(
+        def sink(t, dist_sq, psi, comm, r=r):
+            env = None if psi0 is None else fed.rho**t * psi0
+            rows.append(TraceRow(
                 t=t, sq_dist=dist_sq, lyapunov=psi, theory_envelope=env,
                 comm_parallel=comm[0], comm_total=comm[1], replicate=r,
             ))
+
         fed_run(instance, fed, dist, FedRng.from_seed(cfg_seed + r, instance.n),
                 T, sink=sink, x0=x0, cadence=default_cadence)
-        return local
-
-    # The envelope anchor is the Lyapunov value at the shared initial state;
-    # compute it from a throwaway sink at T=0.
-    anchor: list[float] = []
-    fed_run(instance, fed, dist, FedRng.from_seed(cfg_seed, instance.n), 0,
-            sink=lambda t, d_, psi, c: anchor.append(psi), x0=x0)
-    psi0 = anchor[0]
-    for rep_rows in _map_replicates(one, replicates):
-        rows.extend(rep_rows)
     info = {
         "law": dist.to_config(),
         "k": k,

@@ -1,12 +1,13 @@
 """Compressed federated variant of the multi-proximal iteration.
 
-Clients hold their dual vectors; the server holds the primal point and the
-dual average. Each round, participating clients send their proximal
-correction through an unscaled rand-k mask (k coordinates, no 1/probability
-inflation), and the server rebuilds the next point coordinate by
-coordinate: covered coordinates average the received corrections, uncovered
-ones fall back to the acceptance coin between the forward-backward point
-and the previous point.
+A run advances the solver's own :class:`~multiprox.solver.SolverState`:
+row i of its (n, d) dual array is client i's dual vector, and the primal
+point and the dual average are the server's. Each round, participating
+clients send their proximal correction through an unscaled rand-k mask (k
+coordinates, no 1/probability inflation), and the server rebuilds the next
+point coordinate by coordinate: covered coordinates average the received
+corrections, uncovered ones fall back to the acceptance coin between the
+forward-backward point and the previous point.
 
 Per coordinate this reproduces the uncompressed iteration under a thinned
 participation law, which is exactly how the certified rate is derived: the
@@ -26,35 +27,28 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, HypothesisViolation, NumericalDivergence
+from .errors import ConfigurationError, HypothesisViolation
 from .problems import ProblemInstance, is_infinite
-from .rates import RateInputs, rho_theorem1
+from .rates import fed_plan, rho_theorem1
 from .rng import SeedLike, seed_sequence
 from .sampling import SamplingDistribution, UniformMinibatch, compressed_view
 from .solver import (
     LINEAR_SMOOTH,
     Constant,
-    LyapunovSpec,
     SolverParams,
     SolverState,
-    TRUST_RADIUS,
+    _check_trust_region,
+    _drive,
     derive_params,
     gamma_at,
+    initial_state,
     lyapunov,
     make_lyapunov_spec,
+    rate_inputs_from,
+    sq_dist,
 )
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class RandKMask:
-    """Sorted coordinate subset kept by one compression draw."""
-
-    kept: Array
-
-    def __len__(self) -> int:
-        return self.kept.size
 
 
 @dataclass(frozen=True)
@@ -72,18 +66,6 @@ class CompressedMessage:
         if d <= 1:
             return 0
         return int(self.indices.size) * math.ceil(math.log2(d))
-
-
-@dataclass
-class ServerState:
-    t: int
-    x: Array
-    u_bar: Array
-
-
-@dataclass
-class ClientState:
-    u: Array
 
 
 @dataclass
@@ -121,13 +103,13 @@ class FedRng:
         )
 
 
-def compress(v: Array, k: int, rng: np.random.Generator) -> tuple[CompressedMessage, RandKMask]:
+def compress(v: Array, k: int, rng: np.random.Generator) -> CompressedMessage:
     """Unscaled rand-k: keep k uniformly random coordinates of v as they are."""
     d = v.size
     if not 1 <= k <= d:
         raise ConfigurationError(f"need 1 <= k <= d, got k={k}, d={d}")
     kept = np.sort(rng.choice(d, size=k, replace=False))
-    return CompressedMessage(indices=kept, values=v[kept].copy()), RandKMask(kept=kept)
+    return CompressedMessage(indices=kept, values=v[kept])
 
 
 def rescale(
@@ -188,9 +170,10 @@ def derive_fed_params(
 
     The theorem-exact path (no smooth term, no simple-term curvature,
     identical strongly convex smooth components, uniform size-s
-    participation) certifies a rate and, when ``gamma`` is omitted, fills in
-    the planned stepsize. Anything else takes the generic path through the
-    effective law and needs an explicit ``gamma``.
+    participation) certifies a rate through :func:`multiprox.rates.fed_plan`
+    and, when ``gamma`` is omitted, takes its planned stepsize. Anything else
+    takes the generic path through the effective law and needs an explicit
+    ``gamma``.
     """
     if not 1 <= k <= instance.d:
         raise ConfigurationError(f"need 1 <= k <= d, got k={k}, d={instance.d}")
@@ -205,75 +188,44 @@ def derive_fed_params(
         and len(set(instance.mu_h.tolist())) == 1
         and float(instance.mu_h[0]) > 0.0
     )
-    if not exact:
+    complexity = None
+    if exact:
+        L = float(instance.L_h[0])
+        mu = float(instance.mu_h[0])
+        plan = fed_plan(instance.n, instance.d, k, dist.s, L, mu, gamma=gamma)
+        gamma, complexity = plan.gamma, plan.complexity
+        p_check = plan.extras["p_check_empty"]
+        active = 1.0 - p_check
+        mu_hat = 2.0 * mu * L / (active * (L + mu))
+        params = SolverParams(
+            eta=np.full(instance.n, 1.0 / active),
+            p_hat=1.0 / (1.0 + gamma * mu_hat),
+            p_bar=p_check,
+            mu_hat_h=mu_hat,
+            schedule=Constant(gamma),
+        )
+        rho = rho_theorem1(rate_inputs_from(instance, effective, params))
+    else:
         if gamma is None:
             raise HypothesisViolation(
                 "a planned stepsize exists only on the theorem-exact path; "
                 "pass gamma explicitly for this configuration"
             )
-        solver_params = derive_params(instance, effective, Constant(gamma))
-        ri = _effective_rate_inputs(instance, effective, solver_params, gamma)
+        params = derive_params(instance, effective, Constant(gamma))
         try:
-            rho = rho_theorem1(ri)
+            rho = rho_theorem1(rate_inputs_from(instance, effective, params))
         except HypothesisViolation:
             rho = None
-        return FedParams(
-            solver=solver_params,
-            k=k,
-            effective=effective,
-            p_check_empty=effective.empty_prob(),
-            gamma=gamma,
-            rho=rho,
-        )
-
-    n, d, s = instance.n, instance.d, dist.s
-    L = float(instance.L_h[0])
-    mu = float(instance.mu_h[0])
-    p_check = (1.0 - k / d) ** s
-    active = 1.0 - p_check
-    if gamma is None:
-        gamma = math.sqrt(k * s * active / (d * n * L * mu))
-    eta = np.full(n, 1.0 / active)
-    mu_hat = 2.0 * mu * L / (active * (L + mu))
-    params = SolverParams(
-        eta=eta,
-        p_hat=1.0 / (1.0 + gamma * mu_hat),
-        p_bar=p_check,
-        mu_hat_h=mu_hat,
-        schedule=Constant(gamma),
-    )
-    rho = rho_theorem1(_effective_rate_inputs(instance, effective, params, gamma))
-    iteration = (
-        1.0 / (gamma * mu)
-        + 1.0 / active
-        + d * n / (k * s)
-        + d * n * gamma * L / (k * s * active)
-    )
     return FedParams(
         solver=params,
         k=k,
         effective=effective,
-        p_check_empty=p_check,
+        # both paths use the canonical acceptance probability, under which
+        # the survival mass p_bar is the effective empty probability
+        p_check_empty=params.p_bar,
         gamma=gamma,
         rho=rho,
-        iteration_complexity=iteration,
-    )
-
-
-def _effective_rate_inputs(instance, effective, params, gamma) -> RateInputs:
-    return RateInputs(
-        gamma=gamma,
-        p=effective.inclusion_probs(),
-        eta=params.eta,
-        L_h=tuple(instance.L_h),
-        mu_h=instance.mu_h,
-        L_f=instance.f.L,
-        mu_f=instance.f.mu,
-        mu_g=instance.g.mu,
-        mu_hat_h=params.mu_hat_h,
-        p_empty=effective.empty_prob(),
-        p_hat=params.p_hat,
-        p_bar=params.p_bar,
+        iteration_complexity=complexity,
     )
 
 
@@ -281,23 +233,8 @@ def _effective_rate_inputs(instance, effective, params, gamma) -> RateInputs:
 # The round
 
 
-def initial_fed_state(
-    instance: ProblemInstance, x0: Array | None = None
-) -> tuple[ServerState, list[ClientState]]:
-    x = np.zeros(instance.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (instance.d,):
-        raise ConfigurationError(f"initial point has shape {x.shape}, needs ({instance.d},)")
-    clients = [
-        ClientState(u=o.grad_at(x) if o.grad_at is not None else np.zeros(instance.d))
-        for o in instance.h
-    ]
-    u_bar = np.stack([c.u for c in clients]).mean(axis=0)
-    return ServerState(t=0, x=x, u_bar=u_bar), clients
-
-
 def fed_step(
-    server: ServerState,
-    clients: list[ClientState],
+    state: SolverState,
     instance: ProblemInstance,
     fed: FedParams,
     dist: SamplingDistribution,
@@ -306,37 +243,31 @@ def fed_step(
 ) -> None:
     """One federated round, in place, with communication accounting."""
     params = fed.solver
-    gamma = gamma_at(params.schedule, server.t)
-    x = server.x
-    xhat = instance.g.prox(gamma, x - gamma * (instance.f.grad(x) + server.u_bar))
+    gamma = gamma_at(params.schedule, state.t)
+    x = state.x
+    xhat = instance.g.prox(gamma, x - gamma * (instance.f.grad(x) + state.u_bar))
     subset = dist.sample(rngs.omega)
     messages: list[CompressedMessage] = []
     scaled_sum = np.zeros(instance.d)
     for i in subset.members:
         ge = gamma * float(params.eta[i])
-        u_i = clients[i].u
+        u_i = state.u[i]
         y = instance.h[i].prox(ge, xhat + ge * u_i)
-        msg, _ = compress(y - xhat, fed.k, rngs.clients[i])
+        msg = compress(y - xhat, fed.k, rngs.clients[i])
         # Only the coordinates that survived compression move; the rest of
         # the dual vector stays, so u_i generally leaves the subgradient set.
         u_i[msg.indices] -= msg.values / ge
         scaled_sum[msg.indices] += msg.values / float(params.eta[i])
         messages.append(msg)
-    server.x = rescale(messages, xhat, x, params.p_hat, rngs.server)
-    server.u_bar = server.u_bar - scaled_sum / (instance.n * gamma)
-    server.t += 1
+    state.x = rescale(messages, xhat, x, params.p_hat, rngs.server)
+    state.u_bar = state.u_bar - scaled_sum / (instance.n * gamma)
+    state.t += 1
     ledger.rounds += 1
     if messages:
         ledger.uplink_parallel_reals += fed.k
         ledger.uplink_total_reals += fed.k * len(messages)
         ledger.downlink_total_reals += instance.d * len(messages)
-    if not np.all(np.isfinite(server.x)) or float(np.linalg.norm(server.x)) > TRUST_RADIUS:
-        raise NumericalDivergence("server iterate left the trust region", server.t)
-
-
-def _stacked_state(server: ServerState, clients: list[ClientState]) -> SolverState:
-    u = np.stack([c.u for c in clients])
-    return SolverState(t=server.t, x=server.x, u=u, u_bar=server.u_bar)
+    _check_trust_region(state)
 
 
 def fed_run(
@@ -348,46 +279,32 @@ def fed_run(
     sink: Callable[[int, float, float | None, tuple[int, int]], None] | None = None,
     x0: Array | None = None,
     cadence: int | Callable[[int], bool] = 1,
-) -> tuple[ServerState, list[ClientState], CommLedger]:
+) -> tuple[SolverState, Array, CommLedger]:
     """Run T rounds; the sink receives (t, squared distance, Lyapunov, comm).
 
+    Returns the final state, its (n, d) client duals and the ledger.
     ``comm`` is the cumulative (parallel, total) uplink real count. The
     Lyapunov value uses the general linear-rate function under the effective
     law when that rate is certified, and is absent otherwise.
     """
-    if T < 0:
-        raise ConfigurationError(f"negative round count {T}")
     if not isinstance(rngs, FedRng):
         rngs = FedRng.from_seed(rngs, instance.n)
-    server, clients = initial_fed_state(instance, x0=x0)
+    state = initial_state(instance, x0=x0)
     ledger = CommLedger()
-    spec: LyapunovSpec | None = None
+    spec = None
     if fed.rho is not None:
         spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, fed.effective, fed.solver)
-    if isinstance(cadence, int):
-        every = max(1, cadence)
-        selected = lambda t: t % every == 0
-    else:
-        selected = cadence
 
     def emit():
         if sink is None:
             return
-        psi = None
-        if spec is not None:
-            state = _stacked_state(server, clients)
-            psi = lyapunov(state, instance, fed.solver, spec)
-        diff = server.x - instance.x_star
+        psi = None if spec is None else lyapunov(state, instance, fed.solver, spec)
         sink(
-            server.t,
-            float(diff @ diff),
+            state.t,
+            sq_dist(state, instance),
             psi,
             (ledger.uplink_parallel_reals, ledger.uplink_total_reals),
         )
 
-    emit()
-    for _ in range(T):
-        fed_step(server, clients, instance, fed, dist, rngs, ledger)
-        if server.t == T or selected(server.t):
-            emit()
-    return server, clients, ledger
+    _drive(state, T, lambda: fed_step(state, instance, fed, dist, rngs, ledger), emit, cadence)
+    return state, state.u, ledger

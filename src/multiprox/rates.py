@@ -374,12 +374,15 @@ def similarity_plan(
     return StepsizePlan(gamma=gamma, complexity=complexity)
 
 
-def fed_plan(n: int, d: int, k: int, s: int, L_h: float, mu_h: float) -> StepsizePlan:
+def fed_plan(
+    n: int, d: int, k: int, s: int, L_h: float, mu_h: float, gamma: float | None = None
+) -> StepsizePlan:
     """Stepsize choice for the compressed federated variant, f absent.
 
-    Extras carry the effective empty probability, the iteration complexity
-    factor, and the expected-communication factor (uplink reals counted in
-    parallel across clients).
+    A given ``gamma`` replaces the planned stepsize, and the complexity is
+    then that of the given stepsize. Extras carry the effective empty
+    probability and the expected-communication factor (uplink reals counted
+    in parallel across clients).
     """
     if mu_h <= 0:
         raise HypothesisViolation("the federated plan needs strongly convex components")
@@ -389,7 +392,8 @@ def fed_plan(n: int, d: int, k: int, s: int, L_h: float, mu_h: float) -> Stepsiz
         raise HypothesisViolation(f"need 1 <= k <= d and 1 <= s <= n, got k={k}, s={s}")
     p_check = (1.0 - k / d) ** s
     active = 1.0 - p_check
-    gamma = math.sqrt(k * s * active / (d * n * L_h * mu_h))
+    if gamma is None:
+        gamma = math.sqrt(k * s * active / (d * n * L_h * mu_h))
     iteration = (
         1.0 / (gamma * mu_h)
         + 1.0 / active

@@ -314,6 +314,10 @@ def _apply(
     elif accept_when_empty:
         state.x = xhat
     state.t += 1
+    _check_trust_region(state)
+
+
+def _check_trust_region(state: SolverState) -> None:
     # one fused check: NaN fails the comparison, overflow lands on inf
     if not float(state.x @ state.x) <= TRUST_RADIUS**2:
         raise NumericalDivergence("iterate left the trust region", state.t)
@@ -350,6 +354,39 @@ def dual_error(state: SolverState, instance: ProblemInstance) -> float:
     return float(np.sqrt(((state.u - instance.u_star) ** 2).sum(axis=1).max()))
 
 
+def _drive(
+    state: SolverState,
+    T: int,
+    advance: Callable[[], None],
+    emit: Callable[[], None],
+    cadence: int | Callable[[int], bool] = 1,
+    stop: Callable[[], bool] | None = None,
+) -> int | None:
+    """The run loop: T calls of ``advance``, each moving ``state`` one step.
+
+    ``emit`` fires at the start and then at every t selected by ``cadence``
+    (an every-k integer or a predicate), always including t = T. ``stop`` is
+    asked after every step; when it holds, the loop emits and ends there.
+    Returns the iteration at which it stopped, None when it ran all T steps.
+    """
+    if T < 0:
+        raise ConfigurationError(f"negative iteration count {T}")
+    if isinstance(cadence, int):
+        every = max(1, cadence)
+        selected = lambda t: t % every == 0
+    else:
+        selected = cadence
+    emit()
+    for _ in range(T):
+        advance()
+        if stop is not None and stop():
+            emit()
+            return state.t
+        if state.t == T or selected(state.t):
+            emit()
+    return None
+
+
 def run(
     instance: ProblemInstance,
     params: SolverParams,
@@ -367,15 +404,8 @@ def run(
     every-k integer or a predicate), always including t = T. Metrics are only
     computed when the sink fires, so sparse cadences keep long runs cheap.
     """
-    if T < 0:
-        raise ConfigurationError(f"negative iteration count {T}")
     if state is None:
         state = initial_state(instance, track_z=params.track_z)
-    if isinstance(cadence, int):
-        every = max(1, cadence)
-        selected = lambda t: t % every == 0
-    else:
-        selected = cadence
 
     def emit():
         if sink is not None:
@@ -384,11 +414,7 @@ def run(
                 psi = lyapunov(state, instance, params, lyapunov_spec)
             sink(state.t, sq_dist(state, instance), psi, dual_error(state, instance))
 
-    emit()
-    for t in range(T):
-        step(state, instance, params, dist, rng)
-        if state.t == T or selected(state.t):
-            emit()
+    _drive(state, T, lambda: step(state, instance, params, dist, rng), emit, cadence)
     return state
 
 

@@ -28,7 +28,6 @@ from multiprox import (
     fed_step,
     generate_instance,
     generator,
-    initial_fed_state,
     initial_state,
     lyapunov,
     make_lyapunov_spec,
@@ -258,16 +257,16 @@ def test_criterion_08_full_support_compression_changes_nothing(verdicts):
     fed = derive_fed_params(instance, dist, instance.d)
     rngs = FedRng(omega=generator(123), server=generator(9),
                   clients=[generator(800 + i) for i in range(6)])
-    server, clients = initial_fed_state(instance)
+    server = initial_state(instance)
     ledger = CommLedger()
     state = initial_state(instance)
     rng = generator(123)
     worst = 0.0
     for _ in range(500):
-        fed_step(server, clients, instance, fed, dist, rngs, ledger)
+        fed_step(server, instance, fed, dist, rngs, ledger)
         step(state, instance, fed.solver, dist, rng)
         worst = max(worst, float(np.abs(server.x - state.x).max()))
-    worst = max(worst, float(np.abs(np.stack([c.u for c in clients]) - state.u).max()))
+    worst = max(worst, float(np.abs(server.u - state.u).max()))
     elapsed = time.perf_counter() - t0
     _check(verdicts,8, worst <= 1e-12,
            f"max deviation {worst:.3e} over 500 shared-subset-stream rounds at k=d ({elapsed:.2f}s)")
@@ -318,7 +317,7 @@ def test_criterion_10_per_coordinate_thinning_matches_the_enumerated_law(verdict
     rngs = FedRng(omega=generator(555), server=generator(556),
                   clients=[generator(700 + i) for i in range(n)])
     replay = [generator(700 + i) for i in range(n)]
-    server, clients = initial_fed_state(instance)
+    server = initial_state(instance)
     ledger = CommLedger()
     rounds, prefix = 100_000, 200
     tally = np.zeros(1 << n, dtype=np.int64)
@@ -326,10 +325,10 @@ def test_criterion_10_per_coordinate_thinning_matches_the_enumerated_law(verdict
     for t in range(rounds):
         masks = [g.choice(d, size=k, replace=False) for g in replay]
         if t < prefix:
-            before = [c.u.copy() for c in clients]
-            fed_step(server, clients, instance, fed, dist, rngs, ledger)
+            before = server.u.copy()
+            fed_step(server, instance, fed, dist, rngs, ledger)
             for i in range(n):
-                changed = set(np.nonzero(clients[i].u != before[i])[0].tolist())
+                changed = set(np.nonzero(server.u[i] != before[i])[0].tolist())
                 if not changed <= set(masks[i].tolist()):
                     prefix_consistent = False
         pattern = 0

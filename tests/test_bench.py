@@ -1,11 +1,13 @@
 """Harness behavior: configs, aggregation, CSV bytes, and determinism.
 
 The determinism contract is byte-level: the same config must produce the
-same CSV bytes run to run, file to file, and regardless of the worker
-thread count. Tests here run the experiments at toy sizes only; the
+same CSV bytes run to run, file to file, and from one version of the code
+to the next. Tests here run the experiments at toy sizes only; the
 acceptance suite drives them at measurement scale.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -21,7 +23,6 @@ from multiprox.bench import (
     RunConfig,
     TraceRow,
     _mean_stderr,
-    _thread_count,
     aggregate_replicates,
     default_cadence,
     emit_aggregate_csv,
@@ -224,24 +225,57 @@ class TestRunConfig:
         assert default_cadence(1010)
 
 
-class TestThreadCount:
-    def test_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("MULTIPROX_THREADS", raising=False)
-        assert _thread_count() == 1
-        monkeypatch.setenv("MULTIPROX_THREADS", "4")
-        assert _thread_count() == 4
-        monkeypatch.setenv("MULTIPROX_THREADS", "0")
-        assert _thread_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("MULTIPROX_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            _thread_count()
-
-
 def tiny_exp3_config(out=None):
     return RunConfig(experiment="exp3", seed=7, n=4, d=4, mu=1.0, l_max=3.0,
                      k_values=[2], replicates=2, iterations=30, out=out)
+
+
+# (config, sha256 of every output file) of one tiny run per experiment
+GOLDEN = [
+    (RunConfig(experiment="exp1", seed=1, n=6, d=6, l_max=20.0, replicates=2,
+               iterations=3000, target=1e-3), {
+        "exp1-importance-agg.csv":
+            "6cc1c4f0226a1ffcbf7d49bf6b34c8133e7fd559576f1ce6510dd51048912fd4",
+        "exp1-importance.csv":
+            "839450f3313632e2977e59ae7f3b2669032baa1111c4ebcda9d0857766a23d2b",
+        "exp1-summary.json":
+            "536cd167b06447ad86ab261f7bc2ce171510da9759be04b68686a65c09077f30",
+        "exp1-uniform-agg.csv":
+            "3ced4dc959692968fbd715f5b8326d78da17295a92956bd51bcb9face211b5c9",
+        "exp1-uniform.csv":
+            "26aee7f6f47ee317b408157097504541938017329d53b52526f51913b267c4c4",
+    }),
+    (RunConfig(experiment="exp2", seed=2, d=8, grid=[0.5, 0.25], replicates=2,
+               iterations=200), {
+        "exp2-adaptive-agg.csv":
+            "b98cbe0af6e149496b4f1816a14531044afaba79d4809e1a606e28686c84ed9f",
+        "exp2-adaptive.csv":
+            "9347837207c143269e65e4921b2ed9f6bb80241f486ab1e1fdfb8976583a9e3f",
+        "exp2-grid-00-agg.csv":
+            "b7243e39d9dc4fbb4584cc5ca5da9d8ef4021ed3f5ca697394b44238ad4c73a0",
+        "exp2-grid-00.csv":
+            "b88501581de65fa505dd5d324de6aa14555bf54c14db6949679455ec88b561cc",
+        "exp2-grid-01-agg.csv":
+            "f4acf38e810a1d58453c6c54cfa57e3ebcca75009dcbc74ef20b61ba402655c0",
+        "exp2-grid-01.csv":
+            "d6c5196891af3764be388fc43981db34f1683308f7ab4b46352fc5b2e6d2ca02",
+        "exp2-summary.json":
+            "3b3b436d09150ed71db763298a5f93382c6e64b4dc42d82a58d4bd681ebe9f3d",
+    }),
+    (RunConfig(experiment="exp3", seed=7, n=4, d=4, mu=1.0, l_max=3.0, k_values=[1, 4],
+               replicates=2, iterations=30), {
+        "exp3-k-1-agg.csv":
+            "cafaf9379cdcb71a413aed6e7985059d783f2e9ae09626307079b5e4be1b89fc",
+        "exp3-k-1.csv":
+            "df79fbfdefa46d76fb0b95ed41df61d31598ca56307f66f65fde3f55db406a5d",
+        "exp3-k-4-agg.csv":
+            "20d59c61a929fb784d808e50e628b4ac4f9601d0ced4a1881ca46b4d6d1ed09f",
+        "exp3-k-4.csv":
+            "a792ea84f690047bdf26f58c76c74e247041b6fa24fd895c342d96fd2c6a90c7",
+        "exp3-summary.json":
+            "1368a1199898fc81da89208585df9a5b4287c823846c8d4c3a9bc10e6e52b9ed",
+    }),
+]
 
 
 class TestExperimentRuns:
@@ -255,15 +289,6 @@ class TestExperimentRuns:
             contents.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert set(result.files) == {str(out / n) for n in names}
         assert contents[0] == contents[1]
-
-    def test_thread_count_changes_no_bytes(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial"
-        run_experiment(tiny_exp3_config(out=str(serial)))
-        monkeypatch.setenv("MULTIPROX_THREADS", "2")
-        threaded = tmp_path / "threaded"
-        run_experiment(tiny_exp3_config(out=str(threaded)))
-        for p in serial.iterdir():
-            assert p.read_bytes() == (threaded / p.name).read_bytes()
 
     def test_exp3_summary_content(self):
         result = run_experiment(tiny_exp3_config())
@@ -305,6 +330,17 @@ class TestExperimentRuns:
         # decreasing-stepsize envelope shrinks like 1/t^2
         t_env = {r.t: r.theory_envelope for r in adaptive.rows if r.replicate == 0}
         assert t_env[200] < t_env[100] < t_env[0]
+
+    def test_output_bytes_match_the_pinned_digests(self, tmp_path):
+        # sha256 of every output file of one tiny run per experiment; a
+        # refactor that changes any byte of a trace, aggregate or summary
+        # fails here
+        for cfg, digests in GOLDEN:
+            out = tmp_path / cfg.experiment
+            run_experiment(dataclasses.replace(cfg, out=str(out)))
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+            assert got == digests, cfg.experiment
 
     def test_rate_summaries_per_experiment(self):
         exp1 = rate_summaries(RunConfig(experiment="exp1", n=6, d=6, l_max=20.0))

@@ -76,6 +76,17 @@ class TestRun:
         )
         assert result.exit_code == 1
 
+        # badly typed values get the same message and exit code, no traceback
+        for i, payload in enumerate([
+            {"experiment": "exp3", "n": "abc"},
+            {"experiment": "exp2", "replicates": 1.5},
+            {"experiment": "exp2", "iterations": "5"},
+        ]):
+            cfg = write_config(tmp_path, payload, name=f"typed-{i}.json")
+            result = CliRunner().invoke(main, ["run", "--config", cfg])
+            assert result.exit_code == 1, payload
+            assert "error:" in result.output, payload
+
 
 class TestRates:
     def test_prints_reports_for_each_arm(self, tmp_path):

@@ -16,10 +16,16 @@ from multiprox import (
     ConfigurationError,
     Constant,
     ExplicitSupport,
+    FedParams,
     FedRng,
     FullBatch,
     HypothesisViolation,
+    NumericalDivergence,
+    ProblemInstance,
     SingletonWeighted,
+    SmoothOracle,
+    SolverParams,
+    SolverState,
     UniformMinibatch,
     compress,
     derive_fed_params,
@@ -28,12 +34,12 @@ from multiprox import (
     fed_step,
     generate_instance,
     generator,
-    initial_fed_state,
     initial_state,
     rescale,
     step,
+    zero_prox,
 )
-from multiprox.federated import ClientState, CompressedMessage, ServerState
+from multiprox.federated import CompressedMessage
 from multiprox.rates import fed_plan, rho_theorem1, RateInputs
 from multiprox.sampling import compressed_view
 
@@ -57,14 +63,12 @@ def small_exact_instance(seed=3, n=4, d=4, mu=1.0, l_max=3.0):
 class TestCompress:
     def test_message_holds_exactly_the_surviving_values(self):
         v = np.array([10.0, 20.0, 30.0, 40.0])
-        msg, mask = compress(v, 2, generator(0))
+        msg = compress(v, 2, generator(0))
         assert msg.indices.size == 2
         assert np.array_equal(msg.indices, np.sort(msg.indices))
         assert np.unique(msg.indices).size == 2
         # unscaled: the kept values ship as they are, no 1/probability factor
         assert np.array_equal(msg.values, v[msg.indices])
-        assert np.array_equal(mask.kept, msg.indices)
-        assert len(mask) == 2
 
     def test_each_coordinate_kept_with_ratio_k_over_d(self):
         rng = generator(1)
@@ -72,7 +76,7 @@ class TestCompress:
         counts = np.zeros(4)
         v = np.arange(4.0)
         for _ in range(draws):
-            msg, _ = compress(v, 2, rng)
+            msg = compress(v, 2, rng)
             counts[msg.indices] += 1.0
         freq = counts / draws
         # 4 sigma for a Bernoulli(1/2) mean over 1e5 draws is about 0.0063
@@ -80,7 +84,7 @@ class TestCompress:
 
     def test_payload_accounting(self):
         v = np.zeros(8)
-        msg, _ = compress(v, 3, generator(2))
+        msg = compress(v, 3, generator(2))
         assert msg.payload_reals() == 3
         assert msg.index_bits(8) == 3 * 3
         assert msg.index_bits(1) == 0
@@ -221,55 +225,55 @@ class TestFedStep:
         fed = derive_fed_params(inst, dist, 5)
         assert fed.p_check_empty == 0.0
         x0 = generator(40).standard_normal(5)
-        server, clients = initial_fed_state(inst, x0=x0)
+        server = initial_state(inst, x0=x0)
         ledger = CommLedger()
         rngs = fed_rngs(123, 7, range(1000, 1006))
         state = initial_state(inst, x0=x0)
         solo = generator(123)
         for _ in range(300):
-            fed_step(server, clients, inst, fed, dist, rngs, ledger)
+            fed_step(server, inst, fed, dist, rngs, ledger)
             step(state, inst, fed.solver, dist, solo)
             assert np.abs(server.x - state.x).max() <= 1e-12
             assert np.abs(server.u_bar - state.u_bar).max() <= 1e-12
             for i in range(6):
-                assert np.abs(clients[i].u - state.u[i]).max() <= 1e-12
+                assert np.abs(server.u[i] - state.u[i]).max() <= 1e-12
 
     def test_solution_is_a_fixed_point(self):
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(4, 2)
         fed = derive_fed_params(inst, dist, 2)
-        server, clients = initial_fed_state(inst, x0=inst.x_star)
-        assert np.abs(np.stack([c.u for c in clients]) - inst.u_star).max() <= 1e-12
+        server = initial_state(inst, x0=inst.x_star)
+        assert np.abs(server.u - inst.u_star).max() <= 1e-12
         ledger = CommLedger()
         rngs = FedRng.from_seed(11, 4)
         for _ in range(100):
-            fed_step(server, clients, inst, fed, dist, rngs, ledger)
+            fed_step(server, inst, fed, dist, rngs, ledger)
         assert np.linalg.norm(server.x - inst.x_star) <= 1e-10
-        assert np.abs(np.stack([c.u for c in clients]) - inst.u_star).max() <= 1e-10
+        assert np.abs(server.u - inst.u_star).max() <= 1e-10
 
     def test_average_cache_tracks_client_duals(self):
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(4, 2)
         fed = derive_fed_params(inst, dist, 2)
-        server, clients = initial_fed_state(inst, x0=generator(41).standard_normal(4))
+        server = initial_state(inst, x0=generator(41).standard_normal(4))
         ledger = CommLedger()
         rngs = FedRng.from_seed(12, 4)
         for _ in range(200):
-            fed_step(server, clients, inst, fed, dist, rngs, ledger)
-            mean = np.stack([c.u for c in clients]).mean(axis=0)
+            fed_step(server, inst, fed, dist, rngs, ledger)
+            mean = server.u.mean(axis=0)
             assert np.abs(server.u_bar - mean).max() <= 1e-12
 
     def test_dual_updates_touch_only_the_masked_coordinates(self):
         inst = small_exact_instance(n=2, d=4, mu=1.0, l_max=3.0)
         dist = FullBatch(2)
         fed = derive_fed_params(inst, dist, 1, gamma=0.1)
-        server, clients = initial_fed_state(inst, x0=generator(42).standard_normal(4))
-        before = np.stack([c.u for c in clients])
+        server = initial_state(inst, x0=generator(42).standard_normal(4))
+        before = server.u.copy()
         rngs = fed_rngs(0, 1, [50, 51])
-        fed_step(server, clients, inst, fed, dist, rngs, CommLedger())
+        fed_step(server, inst, fed, dist, rngs, CommLedger())
         for i, seed in enumerate((50, 51)):
             kept = np.sort(generator(seed).choice(4, size=1, replace=False))
-            changed = np.flatnonzero(np.abs(clients[i].u - before[i]) > 0)
+            changed = np.flatnonzero(np.abs(server.u[i] - before[i]) > 0)
             assert np.array_equal(changed, kept)
 
     def test_ledger_counts_every_participant(self):
@@ -288,10 +292,10 @@ class TestFedStep:
         fed = derive_fed_params(inst, dist, 2, gamma=0.05)
         T = 200
         rngs = fed_rngs(60, 61, [62, 63])
-        server, clients = initial_fed_state(inst)
+        server = initial_state(inst)
         ledger = CommLedger()
         for _ in range(T):
-            fed_step(server, clients, inst, fed, dist, rngs, ledger)
+            fed_step(server, inst, fed, dist, rngs, ledger)
         replay = generator(60)
         active_rounds = 0
         participants = 0
@@ -378,9 +382,8 @@ class TestThinningReduction:
         draws = 20_000
         samples = np.empty((draws, 3))
         for s in range(draws):
-            server = ServerState(t=0, x=self.x.copy(), u_bar=u_bar.copy())
-            clients = [ClientState(u=self.u[i].copy()) for i in range(3)]
-            fed_step(server, clients, self.inst, self.fed, self.dist,
+            server = SolverState(t=0, x=self.x.copy(), u=self.u.copy(), u_bar=u_bar.copy())
+            fed_step(server, self.inst, self.fed, self.dist,
                      FedRng.from_seed(10_000 + s, 3), CommLedger())
             samples[s] = server.x
         mean = samples.mean(axis=0)
@@ -429,11 +432,11 @@ class TestFedRun:
         out = []
         for _ in range(2):
             rows = []
-            server, clients, ledger = fed_run(
+            server, duals, ledger = fed_run(
                 inst, fed, dist, 99, 80,
                 sink=lambda t, sqd, psi, comm: rows.append((t, sqd, psi, comm)),
             )
-            out.append((rows, server.x.copy(), np.stack([c.u for c in clients])))
+            out.append((rows, server.x.copy(), duals.copy()))
         assert out[0][0] == out[1][0]
         assert np.array_equal(out[0][1], out[1][1])
         assert np.array_equal(out[0][2], out[1][2])
@@ -450,16 +453,34 @@ class TestFedRun:
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(4, 2)
         fed = derive_fed_params(inst, dist, 2)
-        server, clients, ledger = fed_run(inst, fed, dist, 77, 400)
+        server, _, ledger = fed_run(inst, fed, dist, 77, 400)
         assert float((server.x - inst.x_star) @ (server.x - inst.x_star)) <= 1e-10
         assert ledger.rounds == 400
 
     def test_initial_state_shapes(self):
         inst = small_exact_instance()
+        dist = UniformMinibatch(4, 2)
+        fed = derive_fed_params(inst, dist, 2)
         with pytest.raises(ConfigurationError):
-            initial_fed_state(inst, x0=np.zeros(3))
-        server, clients = initial_fed_state(inst)
+            fed_run(inst, fed, dist, 5, 0, x0=np.zeros(3))
+        server, duals, _ = fed_run(inst, fed, dist, 5, 0)
         assert server.t == 0
         assert np.array_equal(
-            server.u_bar, np.stack([c.u for c in clients]).mean(axis=0)
+            server.u_bar, duals.mean(axis=0)
         )
+
+    def test_divergence_reports_the_round(self):
+        inst = ProblemInstance(
+            f=SmoothOracle(grad=lambda v: v, L=1.0, mu=1.0), g=zero_prox(),
+            h=(zero_prox(),), n=1, d=2,
+            x_star=np.zeros(2), u_star=np.zeros((1, 2)),
+        )
+        # no certified plan covers a stepsize this large; build it by hand
+        fed = FedParams(
+            solver=SolverParams(np.ones(1), 1.0, 0.0, 0.0, Constant(3.0)),
+            k=2, effective=FullBatch(1), p_check_empty=0.0, gamma=3.0,
+        )
+        # x doubles every round from 1e9 sqrt(2); the trust region is 1e12
+        with pytest.raises(NumericalDivergence) as exc:
+            fed_run(inst, fed, FullBatch(1), 0, 100, x0=np.full(2, 1e9))
+        assert exc.value.iteration == 10
