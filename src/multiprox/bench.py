@@ -19,6 +19,10 @@ Three experiment families are wired in:
 Determinism contract: the instance stream is spawned from the base seed,
 replicate r uses the plain seed ``base_seed + r``, replicates run and
 aggregate in replicate order, and CSV bytes depend only on the config.
+Aggregation reduces all iterations of one replicate count in one array
+call but keeps numpy's pairwise summation order within each iteration's
+group, the order of one 1-D reduction per group; the aggregate bytes rely
+on it.
 """
 
 from __future__ import annotations
@@ -134,10 +138,17 @@ class RunConfig:
                 # every key but the seed may stay unset
                 if (v is not None or name == "seed") and not check(v):
                     raise ConfigurationError(f"{name} must be {what}, got {v!r}")
-        for name in ("replicates", "iterations"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigurationError(f"{name} must be positive, got {v}")
+        for names, ok, what in (
+            (("replicates", "iterations", "n", "d"), lambda v: v >= 1, "at least 1"),
+            (("target", "l_max", "mu"), lambda v: v > 0, "positive"),
+            (("alpha",), lambda v: 0 < v <= 1, "in (0, 1]"),
+            (("grid",), lambda v: v and min(v) > 0, "a nonempty list of positive numbers"),
+            (("k_values",), lambda v: v and min(v) >= 1, "a nonempty list of integers >= 1"),
+        ):
+            for name in names:
+                v = getattr(self, name)
+                if v is not None and not ok(v):
+                    raise ConfigurationError(f"{name} must be {what}, got {v!r}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -228,6 +239,7 @@ class AggregateRow:
     replicates: int
 
 
+# The one-group reduction that aggregate_replicates must match bit for bit.
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -243,29 +255,54 @@ def aggregate_replicates(rows: list[TraceRow]) -> list[AggregateRow]:
     of the replicate count, zero for a single replicate. Iterations present
     in only some replicates (early-stopped runs) aggregate over the
     replicates that reached them.
+
+    Every group is reduced exactly as :func:`_mean_stderr` reduces it, in
+    replicate order: the groups of equal size m become contiguous rows of
+    length m in one C-ordered array, reduced along those rows, which runs
+    numpy's pairwise summation over each row as it runs over a 1-D array.
+    The aggregate CSV bytes rely on that order.
     """
-    by_t: dict[int, list[TraceRow]] = {}
-    for row in rows:
-        by_t.setdefault(row.t, []).append(row)
-    out = []
-    for t in sorted(by_t):
-        group = sorted(by_t[t], key=lambda r: r.replicate)
-        sq_mean, sq_se = _mean_stderr([r.sq_dist for r in group])
-        lyap_vals = [r.lyapunov for r in group]
-        if any(v is None for v in lyap_vals):
-            lyap_mean, lyap_se = None, None
-        else:
-            lyap_mean, lyap_se = _mean_stderr(lyap_vals)
-        envelope = next((r.theory_envelope for r in group if r.theory_envelope is not None), None)
-        cp, _ = _mean_stderr([float(r.comm_parallel) for r in group])
-        ct, _ = _mean_stderr([float(r.comm_total) for r in group])
-        out.append(AggregateRow(
-            t=t, sq_dist_mean=sq_mean, sq_dist_stderr=sq_se,
-            lyapunov_mean=lyap_mean, lyapunov_stderr=lyap_se,
-            theory_envelope=envelope,
-            comm_parallel_mean=cp, comm_total_mean=ct, replicates=len(group),
-        ))
-    return out
+    if not rows:
+        return []
+    t = np.array([r.t for r in rows])
+    order = np.lexsort((np.array([r.replicate for r in rows]), t))
+    rows = [rows[i] for i in order]
+    # the reduced columns: squared distance, Lyapunov value, comm counts
+    values = np.array([[r.sq_dist for r in rows],
+                       [0.0 if r.lyapunov is None else r.lyapunov for r in rows],
+                       [r.comm_parallel for r in rows],
+                       [r.comm_total for r in rows]], dtype=np.float64)
+    lyap_missing = np.array([r.lyapunov is None for r in rows])
+    has_env = np.array([r.theory_envelope is not None for r in rows])
+
+    times, starts, sizes = np.unique(t[order], return_index=True, return_counts=True)
+    means, stderrs = np.empty((4, times.size)), np.zeros((2, times.size))
+    lyap_absent = np.empty(times.size, dtype=bool)
+    env_at = np.empty(times.size, dtype=np.intp)
+    for m in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == m)
+        idx = starts[groups][:, None] + np.arange(m)
+        # (4, groups, m) in C order, so each group is one contiguous row;
+        # values[:, idx] alone would lay the groups out column-major
+        block = np.ascontiguousarray(values[:, idx])
+        means[:, groups] = block.mean(axis=2)
+        if m > 1:
+            stderrs[:, groups] = block[:2].std(axis=2, ddof=1) / np.sqrt(m)
+        lyap_absent[groups] = lyap_missing[idx].any(axis=1)
+        # the first replicate of the group that carries an envelope value
+        env = has_env[idx]
+        first = idx[np.arange(groups.size), env.argmax(axis=1)]
+        env_at[groups] = np.where(env.any(axis=1), first, -1)
+
+    sq_mean, lyap_mean, cp_mean, ct_mean = means.tolist()
+    sq_se, lyap_se = stderrs.tolist()
+    return [AggregateRow(
+        t=t_g, sq_dist_mean=sq_mean[g], sq_dist_stderr=sq_se[g],
+        lyapunov_mean=None if lyap_absent[g] else lyap_mean[g],
+        lyapunov_stderr=None if lyap_absent[g] else lyap_se[g],
+        theory_envelope=None if env_at[g] < 0 else rows[env_at[g]].theory_envelope,
+        comm_parallel_mean=cp_mean[g], comm_total_mean=ct_mean[g], replicates=size,
+    ) for g, (t_g, size) in enumerate(zip(times.tolist(), sizes.tolist()))]
 
 
 def _fmt(value) -> str:
@@ -476,15 +513,20 @@ def _write_arm_files(result: ExperimentResult, out: str | None) -> None:
 # Experiment 1: uniform against importance sampling
 
 
+def _given(value, default):
+    """A config value, or its default when unset (0 and [] count as set)."""
+    return default if value is None else value
+
+
 def _exp1_defaults(cfg: RunConfig) -> dict:
     return {
-        "n": cfg.n or 100,
-        "d": cfg.d or 100,
-        "alpha": cfg.alpha if cfg.alpha is not None else 0.05,
-        "l_max": cfg.l_max or 1000.0,
-        "replicates": cfg.replicates or 20,
-        "T": cfg.iterations or 200_000,
-        "target": cfg.target if cfg.target is not None else 1e-6,
+        "n": _given(cfg.n, 100),
+        "d": _given(cfg.d, 100),
+        "alpha": _given(cfg.alpha, 0.05),
+        "l_max": _given(cfg.l_max, 1000.0),
+        "replicates": _given(cfg.replicates, 20),
+        "T": _given(cfg.iterations, 200_000),
+        "target": _given(cfg.target, 1e-6),
     }
 
 
@@ -573,12 +615,12 @@ def exp1_sweep(
 def _exp2_defaults(cfg: RunConfig) -> dict:
     paper = cfg.scale == "paper"
     return {
-        "d": cfg.d or (1000 if paper else 200),
-        "mu": cfg.mu if cfg.mu is not None else 1e-5,
-        "a_offset": cfg.a_offset if cfg.a_offset is not None else 5.5,
-        "grid": cfg.grid or [10.0 * 0.5**i for i in range(12)],
-        "replicates": cfg.replicates or (3 if paper else 10),
-        "T": cfg.iterations or (300_000 if paper else 100_000),
+        "d": _given(cfg.d, 1000 if paper else 200),
+        "mu": _given(cfg.mu, 1e-5),
+        "a_offset": _given(cfg.a_offset, 5.5),
+        "grid": _given(cfg.grid, [10.0 * 0.5**i for i in range(12)]),
+        "replicates": _given(cfg.replicates, 3 if paper else 10),
+        "T": _given(cfg.iterations, 300_000 if paper else 100_000),
     }
 
 
@@ -680,18 +722,18 @@ def _run_exp2(cfg: RunConfig) -> ExperimentResult:
 
 
 def _exp3_defaults(cfg: RunConfig) -> dict:
-    l_max = cfg.l_max or 50.0
+    l_max = _given(cfg.l_max, 50.0)
     # Harder conditioning contracts slower; stretch the default horizon so
     # every budget k reaches visibly small error.
     default_T = 3000 if l_max <= 50 else (10_000 if l_max <= 500 else 30_000)
     return {
-        "n": cfg.n or 100,
-        "d": cfg.d or 100,
-        "mu": cfg.mu if cfg.mu is not None else 1.0,
+        "n": _given(cfg.n, 100),
+        "d": _given(cfg.d, 100),
+        "mu": _given(cfg.mu, 1.0),
         "l_max": l_max,
-        "k_values": cfg.k_values or [1, 10, 25, 50],
-        "replicates": cfg.replicates or 3,
-        "T": cfg.iterations or default_T,
+        "k_values": _given(cfg.k_values, [1, 10, 25, 50]),
+        "replicates": _given(cfg.replicates, 3),
+        "T": _given(cfg.iterations, default_T),
     }
 
 

@@ -17,6 +17,12 @@ rate inputs are those of the effective law from
 Stream discipline: subsets come from one generator, client masks from one
 generator per client, and the server's per-coordinate coins from a server
 generator in increasing coordinate order.
+
+A round works on all participants at once: the proxes come from one
+:meth:`~multiprox.problems.ProblemInstance.prox_rows` call, which solves
+them in one batched call for the generated quadratic families, and the
+duals and server sums move with one scatter each, adding in member order
+as a per-client loop would. Only the masks are drawn client by client.
 """
 
 from __future__ import annotations
@@ -126,11 +132,13 @@ def rescale(
     the acceptance coin, one uniform per coordinate in increasing order.
     """
     d = x_hat.size
-    sums = np.zeros(d)
-    counts = np.zeros(d)
-    for msg in messages:
-        sums[msg.indices] += msg.values
-        counts[msg.indices] += 1.0
+    sums = counts = np.zeros(d)
+    if messages:
+        # bincount adds in message order, as a loop of scatter-adds would
+        cols = np.concatenate([msg.indices for msg in messages])
+        sums = np.bincount(cols, weights=np.concatenate([msg.values for msg in messages]),
+                           minlength=d)
+        counts = np.bincount(cols, minlength=d)
     covered = counts > 0
     x_next = np.empty(d)
     x_next[covered] = x_hat[covered] + sums[covered] / counts[covered]
@@ -246,24 +254,30 @@ def fed_step(
     gamma = gamma_at(params.schedule, state.t)
     x = state.x
     xhat = instance.g.prox(gamma, x - gamma * (instance.f.grad(x) + state.u_bar))
-    subset = dist.sample(rngs.omega)
+    members = np.array(dist.sample(rngs.omega).members, dtype=np.intp)
     messages: list[CompressedMessage] = []
     scaled_sum = np.zeros(instance.d)
-    for i in subset.members:
-        ge = gamma * float(params.eta[i])
-        u_i = state.u[i]
-        y = instance.h[i].prox(ge, xhat + ge * u_i)
-        msg = compress(y - xhat, fed.k, rngs.clients[i])
+    if members.size:
+        eta = params.eta[members]
+        ge = gamma * eta
+        y = instance.prox_rows(members, ge, xhat + ge[:, None] * state.u[members])
+        # compress owns each client's stream, so it runs once per client
+        messages = [compress(v, fed.k, rngs.clients[i])
+                    for i, v in zip(members.tolist(), y - xhat)]
+        rows = np.repeat(members, fed.k)
+        cols = np.concatenate([msg.indices for msg in messages])
+        values = np.concatenate([msg.values for msg in messages])
         # Only the coordinates that survived compression move; the rest of
-        # the dual vector stays, so u_i generally leaves the subgradient set.
-        u_i[msg.indices] -= msg.values / ge
-        scaled_sum[msg.indices] += msg.values / float(params.eta[i])
-        messages.append(msg)
+        # each dual vector stays, so u_i generally leaves the subgradient set.
+        state.u[rows, cols] -= values / np.repeat(ge, fed.k)
+        # bincount adds in member order, as a loop of scatter-adds would
+        scaled_sum = np.bincount(cols, weights=values / np.repeat(eta, fed.k),
+                                 minlength=instance.d)
     state.x = rescale(messages, xhat, x, params.p_hat, rngs.server)
     state.u_bar = state.u_bar - scaled_sum / (instance.n * gamma)
     state.t += 1
     ledger.rounds += 1
-    if messages:
+    if members.size:
         ledger.uplink_parallel_reals += fed.k
         ledger.uplink_total_reals += fed.k * len(messages)
         ledger.downlink_total_reals += instance.d * len(messages)

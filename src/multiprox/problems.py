@@ -275,6 +275,25 @@ class ProblemInstance:
     def L_h(self) -> list[Curvature]:
         return [o.L for o in self.h]
 
+    def prox_rows(self, members: Array, gammas: Array, V: Array) -> Array:
+        """Row j: the prox of h_{members[j]} with stepsize gammas[j] at V[j].
+
+        Generated quadratic families solve every row at once from their
+        stacked spectral payload, with the arithmetic of
+        :func:`quadratic_prox` (two stacked matrix-vector products), and
+        gather no eigenbases when every component is drawn. Any other
+        instance calls its oracles one by one.
+        """
+        if self.kind not in (EXP1, EXP3):
+            return np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
+        if np.any(gammas <= 0):
+            raise ConfigurationError(f"prox needs gamma > 0, got {gammas.min()}")
+        q, lam, b = self.payload["q"], self.payload["lam"], self.payload["b"]
+        if len(members) < self.n:
+            q, lam, b = q[members], lam[members], b[members]
+        w = np.matmul(q.transpose(0, 2, 1), (V + gammas[:, None] * b)[..., None])
+        return np.matmul(q, w / (1.0 + gammas[:, None] * lam)[..., None])[..., 0]
+
     def optimality_residual(self) -> float:
         """Norm of grad f(x*) + mean u* (+ mu_g shrinkage when g is a known sqnorm)."""
         r = self.f.grad(self.x_star) + self.u_star.mean(axis=0)

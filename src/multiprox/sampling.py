@@ -201,9 +201,13 @@ class SingletonWeighted(SamplingDistribution):
         if np.any(q <= 0) or abs(q.sum() - 1.0) > _PROB_TOL:
             raise ConfigurationError("singleton weights must be positive and sum to 1")
         self.q = q
+        # Generator.choice(n, p=q) builds this cdf on every call and inverts
+        # one uniform against it; building it once keeps draws and stream.
+        self._cdf = q.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def sample(self, rng: np.random.Generator) -> SubsetSample:
-        return SubsetSample((int(rng.choice(self.n, p=self.q)),))
+        return SubsetSample((int(self._cdf.searchsorted(rng.random(), side="right")),))
 
     def inclusion_probs(self) -> Array:
         return self.q.copy()

@@ -12,10 +12,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiprox import ConfigurationError
 from multiprox.bench import (
     AGG_HEADER,
+    AggregateRow,
     CSV_HEADER,
     EXPERIMENTS,
     PRESETS,
@@ -78,6 +81,54 @@ class TestAggregation:
         assert agg[1].t == 10
         assert agg[1].replicates == 1
         assert agg[1].sq_dist_stderr == 0.0
+
+
+def reference_aggregate(rows):
+    """Per-group loop over ``_mean_stderr``: the reduction order the bytes pin."""
+    by_t = {}
+    for r in rows:
+        by_t.setdefault(r.t, []).append(r)
+    out = []
+    for t in sorted(by_t):
+        group = sorted(by_t[t], key=lambda r: r.replicate)
+        sq_mean, sq_se = _mean_stderr([r.sq_dist for r in group])
+        lyap = [r.lyapunov for r in group]
+        lyap_mean, lyap_se = ((None, None) if None in lyap else _mean_stderr(lyap))
+        env = next((r.theory_envelope for r in group if r.theory_envelope is not None), None)
+        cp, _ = _mean_stderr([float(r.comm_parallel) for r in group])
+        ct, _ = _mean_stderr([float(r.comm_total) for r in group])
+        out.append(AggregateRow(t, sq_mean, sq_se, lyap_mean, lyap_se, env, cp, ct, len(group)))
+    return out
+
+
+@st.composite
+def replicate_rows(draw):
+    """Shuffled rows of 1-20 replicates, each logging its own set of t.
+
+    Hypothesis picks the shape; the values come from a seeded generator
+    across 60 decades, so that sums of more than eight of them (where
+    pairwise and sequential summation part ways) round.
+    """
+    ts = [sorted(draw(st.sets(st.integers(0, 12), min_size=1)))
+          for _ in range(draw(st.integers(1, 20)))]
+    none_share = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def value(p_none=0.0):
+        return None if rng.random() < p_none else float(10.0 ** rng.uniform(-30, 30))
+
+    rows = [TraceRow(t=t, sq_dist=value(), lyapunov=value(none_share),
+                     theory_envelope=value(0.5),
+                     comm_parallel=int(rng.integers(10**6)),
+                     comm_total=int(rng.integers(10**9)), replicate=rep)
+            for rep, rep_ts in enumerate(ts) for t in rep_ts]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=replicate_rows())
+def test_aggregation_equals_the_per_group_loop_exactly(rows):
+    assert aggregate_replicates(rows) == reference_aggregate(rows)
 
 
 FLOOR = 1e-26

@@ -81,6 +81,17 @@ class TestRun:
             {"experiment": "exp3", "n": "abc"},
             {"experiment": "exp2", "replicates": 1.5},
             {"experiment": "exp2", "iterations": "5"},
+            # out-of-range values, which unset-default fallbacks once hid
+            {"experiment": "exp3", "n": 0, "iterations": 2, "replicates": 1},
+            {"experiment": "exp2", "grid": [], "iterations": 2, "replicates": 1},
+            {"experiment": "exp1", "l_max": 0.0, "iterations": 2, "replicates": 1},
+            {"experiment": "exp2", "d": -3},
+            {"experiment": "exp1", "alpha": 1.5},
+            {"experiment": "exp1", "target": 0.0},
+            {"experiment": "exp2", "grid": [1.0, -0.5]},
+            {"experiment": "exp3", "mu": 0.0},
+            {"experiment": "exp3", "k_values": []},
+            {"experiment": "exp3", "k_values": [2, 0]},
         ]):
             cfg = write_config(tmp_path, payload, name=f"typed-{i}.json")
             result = CliRunner().invoke(main, ["run", "--config", cfg])

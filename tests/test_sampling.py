@@ -173,6 +173,19 @@ def test_singleton_frequencies_track_weights():
     np.testing.assert_allclose(counts / draws, q, atol=0.02)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_singleton_draws_replay_rng_choice(seed):
+    """Draw for draw, and stream position after, the same as rng.choice(n, p=q)."""
+    law_rng = generator(1000 + seed)
+    n = int(law_rng.integers(1, 60))
+    q = law_rng.random(n) ** 3 + 1e-9
+    dist = SingletonWeighted(q / q.sum())
+    ours, theirs = generator(seed), generator(seed)
+    for _ in range(2000):
+        assert dist.sample(ours).members == (int(theirs.choice(n, p=dist.q)),)
+    assert ours.random() == theirs.random()
+
+
 def test_thinned_view_flattens_nesting():
     inner = ThinnedView(UniformMinibatch(4, 2), 0.5)
     outer = ThinnedView(inner, 0.5)
