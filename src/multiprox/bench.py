@@ -16,6 +16,12 @@ Three experiment families are wired in:
 * ``exp3``: strongly convex quadratics solved by the compressed federated
   variant across a grid of coordinate budgets k, with communication ledgers.
 
+One pipeline runs them all. ``run_experiment`` resolves the config once,
+filling every unset field from the experiment's defaults (``--scale paper``
+changes exp2's only); ``instance_for`` builds the instance; each family
+sets up its arms, and ``_arm`` turns an arm's per-replicate traces into
+rows, the certified envelope and the aggregate.
+
 Determinism contract: the instance stream is spawned from the base seed,
 replicate r uses the plain seed ``base_seed + r``, replicates run and
 aggregate in replicate order, and CSV bytes depend only on the config.
@@ -31,8 +37,10 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -210,6 +218,33 @@ def preset(name: str) -> RunConfig:
     return PRESETS[name]
 
 
+# Every unset field resolves from its experiment's row; ``--scale paper``
+# changes the exp2 defaults only.
+_DEFAULTS = {
+    "exp1": dict(n=100, d=100, alpha=0.05, l_max=1000.0, replicates=20,
+                 iterations=200_000, target=1e-6),
+    "exp2": dict(d=200, mu=1e-5, a_offset=5.5, grid=[10.0 * 0.5**i for i in range(12)],
+                 replicates=10, iterations=100_000),
+    "exp3": dict(n=100, d=100, mu=1.0, l_max=50.0, k_values=[1, 10, 25, 50], replicates=3),
+}
+_PAPER_DEFAULTS = {"exp2": dict(d=1000, replicates=3, iterations=300_000)}
+
+
+def _resolved(cfg: RunConfig) -> RunConfig:
+    """``cfg`` with every None field filled from the tables; 0 and [] count as set."""
+    table = dict(_DEFAULTS[cfg.experiment])
+    if cfg.scale == "paper":
+        table.update(_PAPER_DEFAULTS.get(cfg.experiment, {}))
+    cfg = replace(cfg, **{key: copy(value) for key, value in table.items()
+                          if getattr(cfg, key) is None})
+    if cfg.experiment == "exp3" and cfg.iterations is None:
+        # Harder conditioning contracts slower; stretch the default horizon so
+        # every budget k reaches visibly small error.
+        horizon = 3000 if cfg.l_max <= 50 else (10_000 if cfg.l_max <= 500 else 30_000)
+        cfg = replace(cfg, iterations=horizon)
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # Rows and aggregation
 
@@ -360,84 +395,107 @@ class ExperimentResult:
     files: list[str] = field(default_factory=list)
 
 
-def _instance_rng(base_seed: int):
-    return generator(seed_sequence(base_seed).spawn(1)[0])
+def instance_for(cfg: RunConfig) -> ProblemInstance:
+    """The generated instance a config runs on, drawn from its spawned seed stream."""
+    cfg = _resolved(cfg)
+    sizes = {
+        "exp1": dict(n=cfg.n, d=cfg.d, alpha=cfg.alpha, l_max=cfg.l_max),
+        "exp2": dict(d=cfg.d, mu=cfg.mu),
+        "exp3": dict(n=cfg.n, d=cfg.d, mu=cfg.mu, l_max=cfg.l_max),
+    }[cfg.experiment]
+    rng = generator(seed_sequence(cfg.seed).spawn(1)[0])
+    return generate_instance(cfg.experiment, rng, **sizes)
 
 
-def _solver_replicate(
-    instance: ProblemInstance,
-    params: SolverParams,
-    dist: SamplingDistribution,
-    seed: int,
-    replicate: int,
-    T: int,
-    spec: LyapunovSpec | None,
-    psi0: float | None,
-    target: float | None = None,
-    x0=None,
-) -> tuple[list[TraceRow], int | None]:
-    """One trace; stops early when the squared distance reaches the target.
+def _anchor(instance: ProblemInstance, params: SolverParams,
+            spec: LyapunovSpec | None, x0) -> float | None:
+    """The envelope anchor: the Lyapunov value at the replicates' shared start."""
+    if spec is None:
+        return None
+    return lyapunov(initial_state(instance, x0=x0, track_z=params.track_z),
+                    instance, params, spec)
 
-    Returns the rows and the first logged-or-not iteration at which the
-    target was met (None when it never was).
+
+def _arm(name: str, cfg: RunConfig, spec: LyapunovSpec | None, psi0: float | None,
+         trace: Callable, info: dict) -> ArmResult:
+    """Rows, envelope and aggregate of one arm over the config's replicates.
+
+    ``trace(r, record)`` runs replicate r and calls ``record(t, sq_dist,
+    lyapunov, (comm_parallel, comm_total))`` at every logged iteration. The
+    envelope column is ``spec.envelope_ratio(t) * psi0`` when both are known.
     """
-    rng = generator(seed + replicate)
-    state = initial_state(instance, x0=x0, track_z=params.track_z)
+    ratio = None if psi0 is None else spec.envelope_ratio
     rows: list[TraceRow] = []
+    for r in range(cfg.replicates):
 
-    def record():
-        psi = lyapunov(state, instance, params, spec) if spec is not None else None
-        env = None
-        if spec is not None and spec.envelope_ratio is not None and psi0 is not None:
-            env = spec.envelope_ratio(state.t) * psi0
-        rows.append(TraceRow(
-            t=state.t, sq_dist=sq_dist(state, instance), lyapunov=psi,
-            theory_envelope=env, comm_parallel=0, comm_total=0,
-            replicate=replicate,
-        ))
+        def record(t, dist_sq, psi, comm, r=r):
+            rows.append(TraceRow(
+                t=t, sq_dist=dist_sq, lyapunov=psi,
+                theory_envelope=None if ratio is None else ratio(t) * psi0,
+                comm_parallel=comm[0], comm_total=comm[1], replicate=r,
+            ))
 
-    reached = None if target is None else lambda: sq_dist(state, instance) <= target
-    hit = _drive(state, T, lambda: step(state, instance, params, dist, rng),
-                 record, default_cadence, reached)
-    return rows, hit
+        trace(r, record)
+    return ArmResult(name=name, rows=rows, aggregate=aggregate_replicates(rows), info=info)
 
 
-def _run_solver_arm(
-    name: str,
-    instance: ProblemInstance,
-    params: SolverParams,
-    dist: SamplingDistribution,
-    cfg_seed: int,
-    replicates: int,
-    T: int,
-    variant: str | None,
-    target: float | None = None,
-    x0=None,
-) -> ArmResult:
-    spec = None
-    psi0 = None
-    if variant is not None:
-        spec = make_lyapunov_spec(variant, instance, dist, params)
-        psi0 = lyapunov(initial_state(instance, x0=x0, track_z=params.track_z),
-                        instance, params, spec)
-    results = [_solver_replicate(instance, params, dist, cfg_seed, r, T,
-                                 spec, psi0, target=target, x0=x0)
-               for r in range(replicates)]
-    rows = [row for rep_rows, _ in results for row in rep_rows]
-    hits = [hit for _, hit in results]
-    info = {
-        "law": dist.to_config(),
-        "eta_max": float(np.max(params.eta)),
-        "p_hat": params.p_hat,
-    }
+def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
+                dist: SamplingDistribution, params: SolverParams, variant: str | None = None,
+                x0=None, target: float | None = None) -> ArmResult:
+    """Replicate r steps on the plain seed ``cfg.seed + r``; stops early at ``target``.
+
+    With a target, the info records the first iteration, logged or not, at
+    which each replicate met it (None when it never did).
+    """
+    spec = None if variant is None else make_lyapunov_spec(variant, instance, dist, params)
+    hits: list[int | None] = []
+
+    def trace(r, record):
+        rng = generator(cfg.seed + r)
+        state = initial_state(instance, x0=x0, track_z=params.track_z)
+        emit = lambda: record(
+            state.t, sq_dist(state, instance),
+            None if spec is None else lyapunov(state, instance, params, spec), (0, 0))
+        reached = None if target is None else lambda: sq_dist(state, instance) <= target
+        hits.append(_drive(state, cfg.iterations,
+                           lambda: step(state, instance, params, dist, rng),
+                           emit, default_cadence, reached))
+
+    info = {"law": dist.to_config(), "eta_max": float(np.max(params.eta)),
+            "p_hat": params.p_hat}
     if isinstance(params.schedule, Constant):
         info["gamma"] = params.schedule.gamma
     if spec is not None and spec.rho is not None:
         info["rho"] = spec.rho
+    arm = _arm(name, cfg, spec, _anchor(instance, params, spec, x0), trace, info)
     if target is not None:
         info["iterations_to_target"] = hits
         info["mean_iterations_to_target"] = _mean_if_all(hits)
-    return ArmResult(name=name, rows=rows, aggregate=aggregate_replicates(rows), info=info)
+    return arm
+
+
+def _fed_rates(fed) -> dict:
+    """The certified-rate fields of a federated arm's info and of its rate summary."""
+    return {"rho": fed.rho, "gamma": fed.gamma, "p_check_empty": fed.p_check_empty,
+            "iteration_complexity": fed.iteration_complexity}
+
+
+def _fed_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
+             dist: SamplingDistribution, k: int, x0=None) -> ArmResult:
+    """Compressed rounds with budget k; replicate r streams from ``cfg.seed + r``."""
+    fed = derive_fed_params(instance, dist, k)
+    spec = None
+    if fed.rho is not None:
+        spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, fed.effective, fed.solver)
+
+    def trace(r, record):
+        fed_run(instance, fed, dist, FedRng.from_seed(cfg.seed + r, instance.n),
+                cfg.iterations, sink=record, x0=x0, cadence=default_cadence)
+
+    info = {"law": dist.to_config(), "k": k, **_fed_rates(fed)}
+    arm = _arm(name, cfg, spec, _anchor(instance, fed.solver, spec, x0), trace, info)
+    info["final_uplink_total"] = max((r.comm_total for r in arm.rows), default=0)
+    return arm
 
 
 def _mean_if_all(hits: list[int | None]) -> float | None:
@@ -448,46 +506,6 @@ def _mean_if_all(hits: list[int | None]) -> float | None:
 def _final_mean(arm: ArmResult) -> float:
     """Replicate-mean squared distance at the arm's last logged iteration."""
     return arm.aggregate[-1].sq_dist_mean
-
-
-def _run_fed_arm(
-    name: str,
-    instance: ProblemInstance,
-    dist: SamplingDistribution,
-    k: int,
-    cfg_seed: int,
-    replicates: int,
-    T: int,
-    x0=None,
-) -> ArmResult:
-    fed = derive_fed_params(instance, dist, k)
-    psi0 = None
-    if fed.rho is not None:
-        # the envelope anchor: the Lyapunov value at the shared initial state
-        spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, fed.effective, fed.solver)
-        psi0 = lyapunov(initial_state(instance, x0=x0), instance, fed.solver, spec)
-    rows: list[TraceRow] = []
-    for r in range(replicates):
-
-        def sink(t, dist_sq, psi, comm, r=r):
-            env = None if psi0 is None else fed.rho**t * psi0
-            rows.append(TraceRow(
-                t=t, sq_dist=dist_sq, lyapunov=psi, theory_envelope=env,
-                comm_parallel=comm[0], comm_total=comm[1], replicate=r,
-            ))
-
-        fed_run(instance, fed, dist, FedRng.from_seed(cfg_seed + r, instance.n),
-                T, sink=sink, x0=x0, cadence=default_cadence)
-    info = {
-        "law": dist.to_config(),
-        "k": k,
-        "gamma": fed.gamma,
-        "p_check_empty": fed.p_check_empty,
-        "rho": fed.rho,
-        "iteration_complexity": fed.iteration_complexity,
-        "final_uplink_total": max((r.comm_total for r in rows), default=0),
-    }
-    return ArmResult(name=name, rows=rows, aggregate=aggregate_replicates(rows), info=info)
 
 
 def _write_arm_files(result: ExperimentResult, out: str | None) -> None:
@@ -513,34 +531,12 @@ def _write_arm_files(result: ExperimentResult, out: str | None) -> None:
 # Experiment 1: uniform against importance sampling
 
 
-def _given(value, default):
-    """A config value, or its default when unset (0 and [] count as set)."""
-    return default if value is None else value
-
-
-def _exp1_defaults(cfg: RunConfig) -> dict:
-    return {
-        "n": _given(cfg.n, 100),
-        "d": _given(cfg.d, 100),
-        "alpha": _given(cfg.alpha, 0.05),
-        "l_max": _given(cfg.l_max, 1000.0),
-        "replicates": _given(cfg.replicates, 20),
-        "T": _given(cfg.iterations, 200_000),
-        "target": _given(cfg.target, 1e-6),
-    }
-
-
 def exp1_arms(cfg: RunConfig):
     """Instance plus both configured arms (law, params) for one alpha."""
-    p = _exp1_defaults(cfg)
-    instance = generate_instance(
-        "exp1", _instance_rng(cfg.seed),
-        n=p["n"], d=p["d"], alpha=p["alpha"], l_max=p["l_max"],
-    )
-    mu_total = instance.f.mu
+    instance = instance_for(cfg)
     uniform_dist = UniformMinibatch(instance.n, 1)
     plan = uniform_minibatch_plan(
-        instance.n, 1, instance.f.L, max(float(L) for L in instance.L_h), mu_total
+        instance.n, 1, instance.f.L, max(float(L) for L in instance.L_h), instance.f.mu
     )
     uniform_params = derive_params(instance, uniform_dist, Constant(plan.gamma))
     _, weights, gamma_imp = importance_plan(
@@ -554,51 +550,36 @@ def exp1_arms(cfg: RunConfig):
     }
 
 
-def _run_exp1(cfg: RunConfig) -> ExperimentResult:
-    p = _exp1_defaults(cfg)
+def _run_exp1(cfg: RunConfig):
     instance, arms = exp1_arms(cfg)
     # far common start: keeps the target depth in the rate-dominated regime
     # and the initial error comparable across alpha values
     x0 = np.full(instance.d, 10.0)
-    result_arms = {}
-    for name, (dist, params) in arms.items():
-        result_arms[name] = _run_solver_arm(
-            name, instance, params, dist, cfg.seed, p["replicates"], p["T"],
-            variant=LINEAR_SMOOTH, target=p["target"], x0=x0,
-        )
+    result_arms = {
+        name: _solver_arm(name, cfg, instance, dist, params, LINEAR_SMOOTH,
+                          x0=x0, target=cfg.target)
+        for name, (dist, params) in arms.items()
+    }
     uni = result_arms["uniform"].info["mean_iterations_to_target"]
     imp = result_arms["importance"].info["mean_iterations_to_target"]
     summary = {
-        "alpha": p["alpha"],
-        "target": p["target"],
+        "alpha": cfg.alpha,
+        "target": cfg.target,
         "uniform_mean_iterations": uni,
         "importance_mean_iterations": imp,
         "gap": None if (uni is None or imp is None) else uni - imp,
     }
-    result = ExperimentResult(config=cfg, arms=result_arms, summary=summary)
-    _write_arm_files(result, cfg.out)
-    return result
+    return result_arms, summary
 
 
-def exp1_sweep(
-    scale: str = "small",
-    seed: int = 0,
-    out: str | None = None,
-    alphas=(0.95, 0.5, 0.05),
-    replicates: int | None = None,
-    n: int | None = None,
-    d: int | None = None,
-    iterations: int | None = None,
-) -> dict:
+def exp1_sweep(scale: str = "small", seed: int = 0, out: str | None = None) -> dict:
     """The full first experiment: one run per alpha, plus the gap summary."""
     gaps = []
     runs = {}
-    for alpha in alphas:
+    for alpha in (0.95, 0.5, 0.05):
         sub_out = None if out is None else str(Path(out) / f"alpha-{alpha:g}")
-        cfg = RunConfig(experiment="exp1", scale=scale, seed=seed, alpha=alpha,
-                        out=sub_out, replicates=replicates, n=n, d=d,
-                        iterations=iterations)
-        res = _run_exp1(cfg)
+        res = run_experiment(RunConfig(experiment="exp1", scale=scale, seed=seed,
+                                       alpha=alpha, out=sub_out))
         runs[alpha] = res
         gaps.append(res.summary["gap"])
     widening = all(
@@ -610,24 +591,6 @@ def exp1_sweep(
 
 # ---------------------------------------------------------------------------
 # Experiment 2: stepsize grid against the decreasing schedule
-
-
-def _exp2_defaults(cfg: RunConfig) -> dict:
-    paper = cfg.scale == "paper"
-    return {
-        "d": _given(cfg.d, 1000 if paper else 200),
-        "mu": _given(cfg.mu, 1e-5),
-        "a_offset": _given(cfg.a_offset, 5.5),
-        "grid": _given(cfg.grid, [10.0 * 0.5**i for i in range(12)]),
-        "replicates": _given(cfg.replicates, 3 if paper else 10),
-        "T": _given(cfg.iterations, 300_000 if paper else 100_000),
-    }
-
-
-def exp2_instance(cfg: RunConfig) -> ProblemInstance:
-    """The hyperplane instance an exp2 config runs on."""
-    p = _exp2_defaults(cfg)
-    return generate_instance("exp2", _instance_rng(cfg.seed), d=p["d"], mu=p["mu"])
 
 
 # Below this many float64 ulps of ||x*|| a trace sits at its rounding
@@ -675,7 +638,7 @@ def exp2_verdict(grid: list[ArmResult], adaptive: ArmResult) -> tuple[int, bool]
     return best, _final_mean(adaptive) <= finals[best]
 
 
-def _run_exp2(cfg: RunConfig) -> ExperimentResult:
+def _run_exp2(cfg: RunConfig):
     """Stepsize grid against the adaptive schedule, judged by ``exp2_verdict``.
 
     Every arm's info records its iterations to the float64 floor of the
@@ -683,135 +646,91 @@ def _run_exp2(cfg: RunConfig) -> ExperimentResult:
     first when the verdict races to it, and the arm with the lowest final
     mean otherwise.
     """
-    p = _exp2_defaults(cfg)
-    instance = exp2_instance(cfg)
+    instance = instance_for(cfg)
     dist = UniformMinibatch(instance.n, 1)
-    result_arms = {}
-    for i, gamma in enumerate(p["grid"]):
-        params = derive_params(instance, dist, Constant(gamma))
-        result_arms[f"grid-{i:02d}"] = _run_solver_arm(
-            f"grid-{i:02d}", instance, params, dist, cfg.seed,
-            p["replicates"], p["T"], variant=None,
-        )
-    schedule = Adaptive(mu=p["mu"], a=p["a_offset"])
-    adaptive_params = derive_params(instance, dist, schedule)
-    result_arms["adaptive"] = _run_solver_arm(
-        "adaptive", instance, adaptive_params, dist, cfg.seed,
-        p["replicates"], p["T"], variant=ACCEL_NONEMPTY,
-    )
+    grid_arms = [
+        _solver_arm(f"grid-{i:02d}", cfg, instance, dist,
+                    derive_params(instance, dist, Constant(gamma)))
+        for i, gamma in enumerate(cfg.grid)
+    ]
+    adaptive_params = derive_params(instance, dist, Adaptive(mu=cfg.mu, a=cfg.a_offset))
+    adaptive = _solver_arm("adaptive", cfg, instance, dist, adaptive_params, ACCEL_NONEMPTY)
+    result_arms = {arm.name: arm for arm in [*grid_arms, adaptive]}
     floor = float64_floor(instance)
     for arm in result_arms.values():
         arm.info.update(floor_info(arm.rows, floor))
-    grid_arms = [result_arms[f"grid-{i:02d}"] for i in range(len(p["grid"]))]
-    best, beats = exp2_verdict(grid_arms, result_arms["adaptive"])
+    best, beats = exp2_verdict(grid_arms, adaptive)
     summary = {
-        "grid": p["grid"],
+        "grid": cfg.grid,
         "grid_final_sq_dist": {str(i): _final_mean(arm) for i, arm in enumerate(grid_arms)},
         "best_grid_index": best,
         "best_grid_final": _final_mean(grid_arms[best]),
-        "adaptive_final": _final_mean(result_arms["adaptive"]),
+        "adaptive_final": _final_mean(adaptive),
         "adaptive_beats_best_grid": beats,
     }
-    result = ExperimentResult(config=cfg, arms=result_arms, summary=summary)
-    _write_arm_files(result, cfg.out)
-    return result
+    return result_arms, summary
 
 
 # ---------------------------------------------------------------------------
 # Experiment 3: compressed federated runs over a coordinate-budget grid
 
 
-def _exp3_defaults(cfg: RunConfig) -> dict:
-    l_max = _given(cfg.l_max, 50.0)
-    # Harder conditioning contracts slower; stretch the default horizon so
-    # every budget k reaches visibly small error.
-    default_T = 3000 if l_max <= 50 else (10_000 if l_max <= 500 else 30_000)
-    return {
-        "n": _given(cfg.n, 100),
-        "d": _given(cfg.d, 100),
-        "mu": _given(cfg.mu, 1.0),
-        "l_max": l_max,
-        "k_values": _given(cfg.k_values, [1, 10, 25, 50]),
-        "replicates": _given(cfg.replicates, 3),
-        "T": _given(cfg.iterations, default_T),
-    }
-
-
-def _run_exp3(cfg: RunConfig) -> ExperimentResult:
-    p = _exp3_defaults(cfg)
-    instance = generate_instance(
-        "exp3", _instance_rng(cfg.seed),
-        n=p["n"], d=p["d"], mu=p["mu"], l_max=p["l_max"],
-    )
-    for k in p["k_values"]:
+def _run_exp3(cfg: RunConfig):
+    instance = instance_for(cfg)
+    for k in cfg.k_values:
         if not 1 <= k <= instance.d:
             raise ConfigurationError(f"coordinate budget {k} outside [1, {instance.d}]")
     dist = FullBatch(instance.n)
     x0 = np.full(instance.d, 10.0)
-    result_arms = {}
-    for k in p["k_values"]:
-        name = f"k-{k}"
-        result_arms[name] = _run_fed_arm(
-            name, instance, dist, k, cfg.seed, p["replicates"], p["T"], x0=x0,
-        )
-
+    result_arms = {f"k-{k}": _fed_arm(f"k-{k}", cfg, instance, dist, k, x0=x0)
+                   for k in cfg.k_values}
+    by_k = {str(arm.info["k"]): arm for arm in result_arms.values()}
     summary = {
-        "k_values": p["k_values"],
-        "final_sq_dist": {str(k): _final_mean(result_arms[f"k-{k}"])
-                          for k in p["k_values"]},
-        "rho": {str(k): result_arms[f"k-{k}"].info["rho"] for k in p["k_values"]},
-        "uplink_total": {str(k): result_arms[f"k-{k}"].info["final_uplink_total"]
-                         for k in p["k_values"]},
+        "k_values": cfg.k_values,
+        "final_sq_dist": {k: _final_mean(arm) for k, arm in by_k.items()},
+        "rho": {k: arm.info["rho"] for k, arm in by_k.items()},
+        "uplink_total": {k: arm.info["final_uplink_total"] for k, arm in by_k.items()},
     }
-    result = ExperimentResult(config=cfg, arms=result_arms, summary=summary)
-    _write_arm_files(result, cfg.out)
-    return result
+    return result_arms, summary
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 
 
+_RUNNERS = {"exp1": _run_exp1, "exp2": _run_exp2, "exp3": _run_exp3}
+
+
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Run one configured experiment end to end."""
-    if cfg.experiment == "exp1":
-        return _run_exp1(cfg)
-    if cfg.experiment == "exp2":
-        return _run_exp2(cfg)
-    return _run_exp3(cfg)
+    """Run one configured experiment end to end; the result holds the resolved config."""
+    cfg = _resolved(cfg)
+    arms, summary = _RUNNERS[cfg.experiment](cfg)
+    result = ExperimentResult(config=cfg, arms=arms, summary=summary)
+    _write_arm_files(result, cfg.out)
+    return result
 
 
 def rate_summaries(cfg: RunConfig) -> dict[str, dict | str]:
     """Certified-rate reports for every arm of a config that has one."""
+    cfg = _resolved(cfg)
     out: dict[str, dict | str] = {}
     if cfg.experiment == "exp1":
         instance, arms = exp1_arms(cfg)
         for name, (dist, params) in arms.items():
             out[name] = rate_report("theorem", rate_inputs_from(instance, dist, params))
     elif cfg.experiment == "exp2":
-        p = _exp2_defaults(cfg)
         out["grid"] = ("no certified linear rate: components have no finite "
                        "smoothness constant")
         out["adaptive"] = {
             "kind": "decreasing-stepsize envelope",
-            "mu": p["mu"],
-            "a": p["a_offset"],
+            "mu": cfg.mu,
+            "a": cfg.a_offset,
             "envelope": "((a - 1) / (a + t - 1))^2 of the initial Lyapunov value",
         }
     else:
-        p = _exp3_defaults(cfg)
-        instance = generate_instance(
-            "exp3", _instance_rng(cfg.seed),
-            n=p["n"], d=p["d"], mu=p["mu"], l_max=p["l_max"],
-        )
+        instance = instance_for(cfg)
         dist = FullBatch(instance.n)
-        for k in p["k_values"]:
-            fed = derive_fed_params(instance, dist, k)
-            out[f"k-{k}"] = {
-                "kind": "federated",
-                "rho": fed.rho,
-                "gamma": fed.gamma,
-                "p_check_empty": fed.p_check_empty,
-                "iteration_complexity": fed.iteration_complexity,
-            }
+        for k in cfg.k_values:
+            out[f"k-{k}"] = {"kind": "federated",
+                             **_fed_rates(derive_fed_params(instance, dist, k))}
     return out

@@ -254,7 +254,7 @@ def fed_step(
     gamma = gamma_at(params.schedule, state.t)
     x = state.x
     xhat = instance.g.prox(gamma, x - gamma * (instance.f.grad(x) + state.u_bar))
-    members = np.array(dist.sample(rngs.omega).members, dtype=np.intp)
+    members = np.array(dist.sample(rngs.omega), dtype=np.intp)
     messages: list[CompressedMessage] = []
     scaled_sum = np.zeros(instance.d)
     if members.size:

@@ -126,22 +126,40 @@ def _check_strong_source(*mus: float) -> None:
         )
 
 
+def _forward_edge(gamma: float, mu_f: float, L_f: float) -> float:
+    """Lipschitz factor of the forward step x - gamma grad f(x)."""
+    return max(1.0 - gamma * mu_f, gamma * L_f - 1.0)
+
+
+def forward_curvature(gamma: float, mu_f: float, L_f: float) -> float:
+    """The curvature mu_hat_f = (1 - edge^2) / gamma the forward step transfers."""
+    return (1.0 - _forward_edge(gamma, mu_f, L_f) ** 2) / gamma
+
+
 def _distance_term(ri: RateInputs) -> float:
     """Contraction of the squared distance part, shared by the linear results."""
-    edge = max(1.0 - ri.gamma * ri.mu_f, ri.gamma * ri.L_f - 1.0)
     return (
         ri.p_empty * (1.0 - ri.p_hat)
         + (1.0 - ri.p_empty + ri.p_bar)
-        * edge**2
+        * _forward_edge(ri.gamma, ri.mu_f, ri.L_f) ** 2
         / ((1.0 + ri.gamma * ri.mu_g) * (1.0 + ri.gamma * ri.mu_hat_h))
     )
 
 
-def _mu_hat_cap(ri: RateInputs) -> float:
+def transfer_cap(eta: Array, mu_h: Array, L_h) -> float:
+    """The largest admissible curvature transfer: min_i eta_i 2 mu_i L_i / (L_i + mu_i)."""
     return min(
-        ri.eta[i] * harmonic_curvature(float(ri.mu_h[i]), ri.L_h[i])
-        for i in range(ri.size)
+        float(eta[i]) * harmonic_curvature(float(mu_h[i]), L_h[i])
+        for i in range(len(L_h))
     )
+
+
+def _factor(terms: tuple[float, float]) -> float:
+    """The contraction factor of a bound: its larger term, refused unless below 1."""
+    rho = max(terms)
+    if not rho < 1.0:
+        raise HypothesisViolation(f"no contraction: factor evaluates to {rho}")
+    return rho
 
 
 def theorem_terms(ri: RateInputs) -> tuple[float, float]:
@@ -153,10 +171,9 @@ def theorem_terms(ri: RateInputs) -> tuple[float, float]:
             "for every component"
         )
     _check_strong_source(ri.mu_f, ri.mu_g, ri.mu_hat_h)
-    if ri.mu_hat_h > _mu_hat_cap(ri) + _TOL:
-        raise HypothesisViolation(
-            f"mu_hat {ri.mu_hat_h} exceeds its admissible cap {_mu_hat_cap(ri)}"
-        )
+    cap = transfer_cap(ri.eta, ri.mu_h, ri.L_h)
+    if ri.mu_hat_h > cap + _TOL:
+        raise HypothesisViolation(f"mu_hat {ri.mu_hat_h} exceeds its admissible cap {cap}")
     _check_p_hat_bound(ri)
     dual = 1.0 - min(
         2.0 * float(ri.p[i]) / (ri.gamma * float(ri.eta[i]) * (ri.L_h[i] + float(ri.mu_h[i])) + 2.0)
@@ -167,11 +184,7 @@ def theorem_terms(ri: RateInputs) -> tuple[float, float]:
 
 def rho_theorem1(ri: RateInputs) -> float:
     """Certified contraction factor of the general linear-rate result."""
-    first, second = theorem_terms(ri)
-    rho = max(first, second)
-    if not rho < 1.0:
-        raise HypothesisViolation(f"no contraction: factor evaluates to {rho}")
-    return rho
+    return _factor(theorem_terms(ri))
 
 
 def single_component_terms(ri: RateInputs) -> tuple[float, float]:
@@ -185,7 +198,7 @@ def single_component_terms(ri: RateInputs) -> tuple[float, float]:
             f"relaxation weight must equal {eta_required}, got {float(ri.eta[0])}"
         )
     L, mu = ri.L_h[0], float(ri.mu_h[0])
-    cap = float(ri.eta[0]) * harmonic_curvature(mu, L)
+    cap = transfer_cap(ri.eta, ri.mu_h, ri.L_h)
     if ri.mu_hat_h > cap + _TOL:
         raise HypothesisViolation(f"mu_hat {ri.mu_hat_h} exceeds its cap {cap}")
     _check_strong_source(ri.mu_f, ri.mu_g, ri.mu_hat_h)
@@ -204,11 +217,7 @@ def single_component_terms(ri: RateInputs) -> tuple[float, float]:
 
 
 def rho_n1_simple_g(ri: RateInputs) -> float:
-    first, second = single_component_terms(ri)
-    rho = max(first, second)
-    if not rho < 1.0:
-        raise HypothesisViolation(f"no contraction: factor evaluates to {rho}")
-    return rho
+    return _factor(single_component_terms(ri))
 
 
 def _uniform_scalar(values: Array, what: str) -> float:
@@ -252,8 +261,7 @@ def similarity_terms(ri: RateInputs) -> tuple[float, float]:
         raise HypothesisViolation("dissimilarity cannot exceed the shared smoothness constant")
     _check_strong_source(ri.mu_f, mu_h)
     mu_hat_h = harmonic_curvature(mu_h, L)
-    edge = max(1.0 - ri.gamma * ri.mu_f, ri.gamma * ri.L_f - 1.0)
-    mu_hat_f = (1.0 - edge**2) / ri.gamma
+    mu_hat_f = forward_curvature(ri.gamma, ri.mu_f, ri.L_f)
     first = (2.0 - 2.0 * ri.gamma * mu_hat_f) / (
         2.0 - ri.gamma * mu_hat_f + ri.gamma * mu_hat_h
     )
@@ -270,11 +278,7 @@ def similarity_terms(ri: RateInputs) -> tuple[float, float]:
 
 
 def rho_similarity(ri: RateInputs) -> float:
-    first, second = similarity_terms(ri)
-    rho = max(first, second)
-    if not rho < 1.0:
-        raise HypothesisViolation(f"no contraction: factor evaluates to {rho}")
-    return rho
+    return _factor(similarity_terms(ri))
 
 
 _TERM_FUNCS = {
@@ -289,9 +293,7 @@ def rate_report(kind: str, ri: RateInputs) -> dict:
     if kind not in _TERM_FUNCS:
         raise HypothesisViolation(f"unknown rate kind {kind!r}")
     distance, dual = _TERM_FUNCS[kind](ri)
-    rho = max(distance, dual)
-    if not rho < 1.0:
-        raise HypothesisViolation(f"no contraction: factor evaluates to {rho}")
+    rho = _factor((distance, dual))
     return {
         "kind": kind,
         "rho": rho,

@@ -10,7 +10,7 @@ Closed forms cover the common laws; everything else falls back to exact
 support enumeration up to 25 components (:class:`UnsupportedExact` beyond)
 or to Monte Carlo estimation.
 
-Indices are 0-based throughout. Drawn subsets are always sorted.
+Indices are 0-based throughout. A drawn subset is a sorted tuple of indices.
 """
 
 from __future__ import annotations
@@ -29,19 +29,6 @@ Array = np.ndarray
 ENUMERATION_LIMIT = 25
 _PROB_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class SubsetSample:
-    """One drawn subset; ``members`` is a sorted tuple of indices."""
-
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def empty(self) -> bool:
-        return not self.members
 
 Support = list[tuple[tuple[int, ...], float]]
 
@@ -69,7 +56,7 @@ class SamplingDistribution:
 
     # Law-specific interface -------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         raise NotImplementedError
 
     def inclusion_probs(self) -> Array:
@@ -150,12 +137,12 @@ class UniformMinibatch(SamplingDistribution):
             raise ConfigurationError(f"minibatch size must satisfy 1 <= s <= n, got s={s}")
         self.s = s
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         # singleton draws sit on the hot path of the singleton experiments
         if self.s == 1:
-            return SubsetSample((int(rng.integers(self.n)),))
+            return (int(rng.integers(self.n)),)
         members = rng.choice(self.n, size=self.s, replace=False)
-        return SubsetSample(tuple(sorted(int(i) for i in members)))
+        return tuple(sorted(int(i) for i in members))
 
     def inclusion_probs(self) -> Array:
         return np.full(self.n, self.s / self.n)
@@ -183,8 +170,8 @@ class FullBatch(UniformMinibatch):
     def __init__(self, n: int):
         super().__init__(n, n)
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
-        return SubsetSample(tuple(range(self.n)))
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+        return tuple(range(self.n))
 
     def to_config(self) -> dict:
         return {"law": self.law, "n": self.n}
@@ -206,8 +193,8 @@ class SingletonWeighted(SamplingDistribution):
         self._cdf = q.cumsum()
         self._cdf /= self._cdf[-1]
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
-        return SubsetSample((int(self._cdf.searchsorted(rng.random(), side="right")),))
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+        return (int(self._cdf.searchsorted(rng.random(), side="right")),)
 
     def inclusion_probs(self) -> Array:
         return self.q.copy()
@@ -240,9 +227,9 @@ class IndependentParticipation(SamplingDistribution):
             raise ConfigurationError("participation probabilities must lie in (0, 1]")
         self.r = r
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         mask = rng.random(self.n) < self.r
-        return SubsetSample(tuple(int(i) for i in np.flatnonzero(mask)))
+        return tuple(int(i) for i in np.flatnonzero(mask))
 
     def inclusion_probs(self) -> Array:
         return self.r.copy()
@@ -301,9 +288,9 @@ class ExplicitSupport(SamplingDistribution):
         self._probs = np.array([p for _, p in self.support])
         self.validate_proper()
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         idx = int(rng.choice(len(self._members), p=self._probs))
-        return SubsetSample(self._members[idx])
+        return self._members[idx]
 
     def inclusion_probs(self) -> Array:
         p = np.zeros(self.n)
@@ -346,12 +333,12 @@ class ThinnedView(SamplingDistribution):
         self.base = base
         self.keep_ratio = float(keep_ratio)
 
-    def sample(self, rng: np.random.Generator) -> SubsetSample:
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         drawn = self.base.sample(rng)
-        if drawn.empty:
+        if not drawn:
             return drawn
-        keep = rng.random(len(drawn.members)) < self.keep_ratio
-        return SubsetSample(tuple(m for m, k in zip(drawn.members, keep) if k))
+        keep = rng.random(len(drawn)) < self.keep_ratio
+        return tuple(m for m, k in zip(drawn, keep) if k)
 
     def inclusion_probs(self) -> Array:
         return self.keep_ratio * self.base.inclusion_probs()
@@ -412,11 +399,11 @@ def estimate_tilde_probs_mc(
     used = 0
     for _ in range(draws):
         subset = dist.sample(rng)
-        if subset.empty:
+        if not subset:
             continue
         used += 1
-        w = 1.0 / len(subset.members)
-        idx = list(subset.members)
+        w = 1.0 / len(subset)
+        idx = list(subset)
         total[idx] += w
         total_sq[idx] += w * w
     if used == 0:

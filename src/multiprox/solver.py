@@ -29,8 +29,6 @@ from .errors import (
     Unsupported,
 )
 from .problems import (
-    Curvature,
-    INFINITE,
     ProblemInstance,
     harmonic_curvature,
     inverse_total_curvature,
@@ -38,9 +36,11 @@ from .problems import (
 )
 from .rates import (
     RateInputs,
+    forward_curvature,
     rho_n1_simple_g,
     rho_similarity,
     rho_theorem1,
+    transfer_cap,
 )
 from .sampling import SamplingDistribution
 
@@ -198,14 +198,11 @@ def derive_params(
     # With the canonical acceptance probability the survival mass p_bar
     # equals p_empty, which decouples the weights from the curvature
     # transfer and needs no iteration.
-    eta_default = 1.0 / (n * tilde * (1.0 - p_empty))
-
     if p_hat == "theorem":
-        eta = eta_default
-        mu_hat = _curvature_transfer_cap(eta, mu_h, L_h)
-        accept = 1.0 / (1.0 + gamma * mu_hat)
-        p_bar = p_empty
-        return SolverParams(eta, accept, p_bar, mu_hat, schedule, track_z)
+        eta = 1.0 / (n * tilde * (1.0 - p_empty))
+        mu_hat = transfer_cap(eta, mu_h, L_h)
+        return SolverParams(eta, 1.0 / (1.0 + gamma * mu_hat), p_empty, mu_hat,
+                            schedule, track_z)
 
     accept = float(p_hat)
     if not 0.0 <= accept <= 1.0:
@@ -216,7 +213,7 @@ def derive_params(
     for _ in range(200):
         p_bar = p_empty * accept * (1.0 + gamma * mu_hat)
         eta = (1.0 - p_empty + p_bar) / (n * tilde * (1.0 - p_empty))
-        new = _curvature_transfer_cap(eta, mu_h, L_h)
+        new = transfer_cap(eta, mu_h, L_h)
         if abs(new - mu_hat) <= 1e-14 * (1.0 + new):
             mu_hat = new
             break
@@ -231,13 +228,6 @@ def derive_params(
             f"{1.0 / (1.0 + gamma * mu_hat)} for this curvature transfer"
         )
     return SolverParams(eta, accept, p_bar, mu_hat, schedule, track_z)
-
-
-def _curvature_transfer_cap(eta: Array, mu_h: Array, L_h) -> float:
-    return min(
-        float(eta[i]) * harmonic_curvature(float(mu_h[i]), L_h[i])
-        for i in range(len(L_h))
-    )
 
 
 def _derive_adaptive(instance, schedule, tilde, p_empty, mu_h, p_hat, track_z):
@@ -336,11 +326,11 @@ def step(
     acceptance coin on empty rounds (drawn even when the coin is
     deterministic, to keep streams aligned across parameter choices).
     """
-    subset = dist.sample(rng)
+    members = dist.sample(rng)
     accept = False
-    if subset.empty:
+    if not members:
         accept = bool(rng.random() < params.p_hat)
-    _apply(state, instance, params, subset.members, accept)
+    _apply(state, instance, params, members, accept)
     return state
 
 
@@ -544,8 +534,7 @@ def make_lyapunov_spec(
         ri = rate_inputs_from(instance, dist, params)
         rho = rho_similarity(ri)
         p_s = float(p[0])
-        edge = max(1.0 - gamma * instance.f.mu, gamma * instance.f.L - 1.0)
-        mu_hat_f = (1.0 - edge**2) / gamma
+        mu_hat_f = forward_curvature(gamma, instance.f.mu, instance.f.L)
         mu_hat_h = harmonic_curvature(float(instance.mu_h[0]), instance.L_h[0])
         x_w = 1.0 - gamma * mu_hat_f / 2.0 + gamma * mu_hat_h / 2.0
         z_w = gamma * (mu_hat_f + mu_hat_h) / (2.0 * n * p_s)

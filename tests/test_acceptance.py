@@ -40,8 +40,8 @@ from multiprox import (
 from multiprox.bench import (
     RunConfig,
     exp1_sweep,
-    exp2_instance,
     float64_floor,
+    instance_for,
     run_experiment,
 )
 from multiprox.rates import rho_theorem1, uniform_minibatch_plan
@@ -170,7 +170,7 @@ def test_criterion_04_singleton_runs_match_the_single_index_baseline(verdicts):
     worst = 0.0
     for _ in range(1000):
         step(state, instance, params, dist, rng)
-        j = dist.sample(replay).members[0]
+        j = dist.sample(replay)[0]
         x_ref, u_ref = point_saga_step(x_ref, u_ref, j, gamma, instance.h)
         worst = max(worst,
                     float(np.abs(state.x - x_ref).max()),
@@ -230,7 +230,7 @@ def test_criterion_07_adaptive_schedule_beats_the_stepsize_grid(verdicts):
     res = run_experiment(cfg)
     s = res.summary
     elapsed = time.perf_counter() - t0
-    floor = float64_floor(exp2_instance(cfg))
+    floor = float64_floor(instance_for(cfg))
     floor_note = ""
     if s["adaptive_final"] <= floor and s["best_grid_final"] <= floor:
         # both arms fully converged; the ordering below this level is the

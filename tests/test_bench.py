@@ -9,12 +9,15 @@ acceptance suite drives them at measurement scale.
 import dataclasses
 import hashlib
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multiprox
 from multiprox import ConfigurationError
 from multiprox.bench import (
     AGG_HEADER,
@@ -26,6 +29,7 @@ from multiprox.bench import (
     RunConfig,
     TraceRow,
     _mean_stderr,
+    _resolved,
     aggregate_replicates,
     default_cadence,
     emit_aggregate_csv,
@@ -269,6 +273,43 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             preset("exp4")
 
+    @pytest.mark.parametrize("scale", ["small", "paper"])
+    def test_unset_fields_resolve_per_experiment(self, scale):
+        grid = [10.0 * 0.5**i for i in range(12)]
+        paper = scale == "paper"
+        expected = {
+            "exp1": dict(n=100, d=100, alpha=0.05, l_max=1000.0, replicates=20,
+                         iterations=200_000, target=1e-6),
+            "exp2": dict(d=1000 if paper else 200, mu=1e-5, a_offset=5.5, grid=grid,
+                         replicates=3 if paper else 10,
+                         iterations=300_000 if paper else 100_000),
+            "exp3": dict(n=100, d=100, mu=1.0, l_max=50.0, k_values=[1, 10, 25, 50],
+                         replicates=3, iterations=3000),
+        }
+        for exp, fields in expected.items():
+            cfg = _resolved(RunConfig(experiment=exp, scale=scale, seed=4))
+            assert {key: getattr(cfg, key) for key in fields} == fields, exp
+            assert (cfg.experiment, cfg.scale, cfg.seed, cfg.out) == (exp, scale, 4, None)
+            # fields outside the experiment's table stay unset
+            assert all(getattr(cfg, key) is None
+                       for key in ("n", "d", "alpha", "l_max", "mu", "a_offset",
+                                   "grid", "k_values", "target")
+                       if key not in fields), exp
+        for l_max, horizon in ((50.0, 3000), (500.0, 10_000), (5000.0, 30_000)):
+            cfg = _resolved(RunConfig(experiment="exp3", scale=scale, l_max=l_max))
+            assert cfg.iterations == horizon
+
+    def test_set_fields_are_kept(self):
+        cfg = RunConfig(experiment="exp2", d=8, grid=[1.0], a_offset=0.0, iterations=7)
+        got = _resolved(cfg)
+        assert (got.d, got.grid, got.a_offset, got.iterations) == (8, [1.0], 0.0, 7)
+        assert _resolved(got) == got
+        exp3 = _resolved(RunConfig(experiment="exp3", l_max=5000.0, iterations=5))
+        assert exp3.iterations == 5
+        # each resolution hands out its own default lists
+        assert _resolved(RunConfig(experiment="exp2")).grid is not \
+            _resolved(RunConfig(experiment="exp2")).grid
+
     def test_default_cadence(self):
         assert default_cadence(0)
         assert default_cadence(1000)
@@ -405,3 +446,36 @@ class TestExperimentRuns:
         exp3 = rate_summaries(tiny_exp3_config())
         assert set(exp3) == {"k-2"}
         assert exp3["k-2"]["rho"] is not None
+
+
+def _perfbench_spans():
+    """The benchmark's span recorder, executed from its source without an import."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestTracedSurface:
+    """The benchmark's traced run wraps package attributes by name.
+
+    A renamed or inlined attribute silently drops its spans from the trace,
+    so the names and the calls that go through them are pinned here.
+    """
+
+    def test_every_traced_attribute_exists_and_sees_every_step(self):
+        spans = _perfbench_spans()
+        rec = spans.Recorder()
+        with spans.patched(rec, spans.package_targets(multiprox, rec)) as missing:
+            assert missing == []
+            run_experiment(RunConfig(experiment="exp2", seed=3, d=8, grid=[0.5],
+                                     replicates=2, iterations=50))
+            run_experiment(tiny_exp3_config())
+        ids = np.array(rec.name_id)
+        count = {name: int((ids == i).sum()) for i, name in enumerate(rec.names)}
+        # two arms (one grid stepsize and the adaptive schedule) x 2 x 50
+        assert count["solver.step"] == 200
+        # one budget x 2 replicates x 30 rounds
+        assert count["federated.fed_step"] == 60
+        assert count["problems.generate_instance"] == 2
+        assert count["bench.aggregate_replicates"] == 3

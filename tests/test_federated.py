@@ -301,7 +301,7 @@ class TestFedStep:
         active_rounds = 0
         participants = 0
         for _ in range(T):
-            members = dist.sample(replay).members
+            members = dist.sample(replay)
             active_rounds += bool(members)
             participants += len(members)
         assert ledger.rounds == T

@@ -194,7 +194,7 @@ def test_stepsize_beyond_smoothness_rejected():
         rho_theorem1(ri)
 
 
-def test_mu_hat_cap_enforced():
+def test_transfer_cap_enforced():
     # cap is eta * 2 mu L / (L + mu) = 1 * 2*1*3/4 = 1.5
     ri = RateInputs(gamma=0.1, p=[1.0], eta=[1.0], L_h=(3.0,), mu_h=[1.0],
                     mu_hat_h=2.0, p_hat=1.0 / 1.2, mu_f=1.0, L_f=1.0)

@@ -141,14 +141,14 @@ def test_uniform_minibatch_draws_sorted_distinct():
     rng = generator(1)
     for _ in range(200):
         s = dist.sample(rng)
-        assert len(s.members) == 3
-        assert list(s.members) == sorted(set(s.members))
+        assert len(s) == 3
+        assert list(s) == sorted(set(s))
 
 
 def test_full_batch_is_deterministic_and_consumes_no_randomness():
     dist = FullBatch(5)
     rng1, rng2 = generator(3), generator(3)
-    assert dist.sample(rng1).members == tuple(range(5))
+    assert dist.sample(rng1) == tuple(range(5))
     # the stream is untouched, so both generators stay aligned
     np.testing.assert_array_equal(rng1.random(4), rng2.random(4))
 
@@ -156,10 +156,10 @@ def test_full_batch_is_deterministic_and_consumes_no_randomness():
 def test_sampling_is_seed_deterministic():
     for dist in SMALL_LAWS:
         draws_a = [dist.sample(generator(17)) for _ in range(1)]
-        a = [dist.sample(generator(17)).members for _ in range(10)]
-        b = [dist.sample(generator(17)).members for _ in range(10)]
+        a = [dist.sample(generator(17)) for _ in range(10)]
+        b = [dist.sample(generator(17)) for _ in range(10)]
         assert a == b
-        assert draws_a[0].members == a[0]
+        assert draws_a[0] == a[0]
 
 
 def test_singleton_frequencies_track_weights():
@@ -169,7 +169,7 @@ def test_singleton_frequencies_track_weights():
     counts = np.zeros(3)
     draws = 20000
     for _ in range(draws):
-        counts[dist.sample(rng).members[0]] += 1
+        counts[dist.sample(rng)[0]] += 1
     np.testing.assert_allclose(counts / draws, q, atol=0.02)
 
 
@@ -182,7 +182,7 @@ def test_singleton_draws_replay_rng_choice(seed):
     dist = SingletonWeighted(q / q.sum())
     ours, theirs = generator(seed), generator(seed)
     for _ in range(2000):
-        assert dist.sample(ours).members == (int(theirs.choice(n, p=dist.q)),)
+        assert dist.sample(ours) == (int(theirs.choice(n, p=dist.q)),)
     assert ours.random() == theirs.random()
 
 
@@ -311,8 +311,8 @@ def test_law_constructor_validation():
 def test_config_round_trip_preserves_law_and_stream(dist):
     clone = law_from_config(dist.to_config())
     assert type(clone) is type(dist)
-    a = [dist.sample(generator(33)).members for _ in range(15)]
-    b = [clone.sample(generator(33)).members for _ in range(15)]
+    a = [dist.sample(generator(33)) for _ in range(15)]
+    b = [clone.sample(generator(33)) for _ in range(15)]
     assert a == b
     np.testing.assert_allclose(clone.tilde_probs(), dist.tilde_probs(), atol=1e-15)
 

@@ -400,7 +400,7 @@ class TestStep:
         inst = quad_instance(5, n=2, d=3, lam_range=(0.0, 4.0), zero_eigs=1)
         law = ExplicitSupport(2, [((), 0.9), ((0, 1), 0.1)])
         params = derive_params(inst, law, Constant(0.3), p_hat=1.0)
-        seed = next(s for s in range(100) if law.sample(generator(s)).empty)
+        seed = next(s for s in range(100) if not law.sample(generator(s)))
         rng_step, rng_ref = generator(seed), generator(seed)
         step(random_state(generator(1), inst), inst, params, law, rng_step)
         law.sample(rng_ref)
@@ -450,7 +450,7 @@ class TestReductions:
         assert np.allclose(params.eta, 1.0, atol=1e-14)
         state = random_state(generator(9), inst)
         rng_a, rng_b = generator(42), generator(42)
-        j = law.sample(rng_b).members[0]
+        j = law.sample(rng_b)[0]
         x_ref, u_ref = point_saga_step(state.x.copy(), state.u.copy(), j, 0.3, inst.h)
         step(state, inst, params, law, rng_a)
         assert np.abs(state.x - x_ref).max() <= 1e-12
@@ -464,7 +464,7 @@ class TestReductions:
         x, u = state.x.copy(), state.u.copy()
         rng_a, rng_b = generator(77), generator(77)
         for _ in range(1000):
-            j = law.sample(rng_b).members[0]
+            j = law.sample(rng_b)[0]
             x, u = point_saga_step(x, u, j, 0.3, inst.h)
             step(state, inst, params, law, rng_a)
         assert np.abs(state.x - x).max() <= 1e-10
@@ -496,7 +496,7 @@ class TestReductions:
         rng_a, rng_b = generator(99), generator(99)
         for _ in range(500):
             xhat = x - gamma * (inst.f.grad(x) + u1)
-            if law.sample(rng_b).empty:
+            if not law.sample(rng_b):
                 rng_b.random()
                 x = xhat
             else:
