@@ -83,12 +83,13 @@ def default_cadence(t: int) -> bool:
 # Configuration
 
 
-_COMMON_KEYS = {"experiment", "scale", "seed", "replicates", "iterations",
-                "target", "out", "n", "d"}
+# exp2 runs over n = d components and only exp1 stops early at a target,
+# so ``n`` and ``target`` are keys of the experiments that read them.
+_COMMON_KEYS = {"experiment", "scale", "seed", "replicates", "iterations", "out", "d"}
 _EXTRA_KEYS = {
-    "exp1": {"alpha", "l_max"},
+    "exp1": {"n", "alpha", "l_max", "target"},
     "exp2": {"mu", "a_offset", "grid"},
-    "exp3": {"mu", "l_max", "k_values"},
+    "exp3": {"n", "mu", "l_max", "k_values"},
 }
 
 
@@ -719,6 +720,11 @@ def rate_summaries(cfg: RunConfig) -> dict[str, dict | str]:
         for name, (dist, params) in arms.items():
             out[name] = rate_report("theorem", rate_inputs_from(instance, dist, params))
     elif cfg.experiment == "exp2":
+        # the checks `run` makes of the adaptive arm, so both refuse alike
+        instance = instance_for(cfg)
+        dist = UniformMinibatch(instance.n, 1)
+        params = derive_params(instance, dist, Adaptive(mu=cfg.mu, a=cfg.a_offset))
+        make_lyapunov_spec(ACCEL_NONEMPTY, instance, dist, params)
         out["grid"] = ("no certified linear rate: components have no finite "
                        "smoothness constant")
         out["adaptive"] = {

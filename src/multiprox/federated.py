@@ -45,6 +45,7 @@ from .solver import (
     SolverState,
     _check_trust_region,
     _drive,
+    _forward,
     derive_params,
     gamma_at,
     initial_state,
@@ -253,7 +254,7 @@ def fed_step(
     params = fed.solver
     gamma = gamma_at(params.schedule, state.t)
     x = state.x
-    xhat = instance.g.prox(gamma, x - gamma * (instance.f.grad(x) + state.u_bar))
+    xhat = _forward(instance, gamma, x, state.u_bar)
     members = np.array(dist.sample(rngs.omega), dtype=np.intp)
     messages: list[CompressedMessage] = []
     scaled_sum = np.zeros(instance.d)

@@ -209,26 +209,29 @@ def quadratic_prox(form: QuadraticForm, gamma: float, v: Array) -> Array:
     return form.Q @ (w / (1.0 + gamma * form.lam))
 
 
-def hyperplane_ridge_prox(w: Array, offset: float, mu: float, gamma: float, v: Array) -> Array:
+def hyperplane_ridge_prox(w: Array, offset: float, mu: float, gamma: float, v: Array,
+                          *, wnorm2: float | None = None) -> Array:
     """Prox of the indicator of {x : w'x = offset} plus (mu/2)||x||^2.
 
     Shrink toward the origin, then project the shrunk point back onto the
-    hyperplane along w.
+    hyperplane along w, whose squared norm ``wnorm2`` an oracle binds once.
     """
     if gamma <= 0:
         raise ConfigurationError(f"prox needs gamma > 0, got {gamma}")
-    wnorm2 = float(w @ w)
-    if wnorm2 == 0.0:
-        raise ConfigurationError("hyperplane normal is zero")
+    if wnorm2 is None:
+        wnorm2 = float(w @ w)
+        if wnorm2 == 0.0:
+            raise ConfigurationError("hyperplane normal is zero")
     c = 1.0 + gamma * mu
     return v / c - (float(w @ v) - offset * c) * w / (c * wnorm2)
 
 
 def hyperplane_ridge(w: Array, offset: float, mu: float) -> ProxOracle:
-    if float(w @ w) == 0.0:
+    wnorm2 = float(w @ w)
+    if wnorm2 == 0.0:
         raise ConfigurationError("hyperplane normal is zero")
     return ProxOracle(
-        prox=partial(hyperplane_ridge_prox, w, offset, mu),
+        prox=partial(hyperplane_ridge_prox, w, offset, mu, wnorm2=wnorm2),
         mu=mu,
         L=INFINITE,
         grad_at=None,

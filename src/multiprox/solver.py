@@ -4,7 +4,9 @@ One iteration: a forward-backward point through f and g using the running
 dual average, proximal corrections on a randomly drawn subset of components,
 and an acceptance coin when the subset comes up empty. Dual vectors move so
 that each u_i stays an exact subgradient of h_i at the last point component i
-touched.
+touched. The forward point skips the gradient of the package's zero f
+(:func:`~multiprox.problems.zero_smooth`) and the identity prox of its zero g
+(:func:`~multiprox.problems.zero_prox`), which changes no value.
 
 States are advanced in place by :func:`step`; use :func:`clone_state` first
 when the old state must survive (the conditional-expectation helper does
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .problems import (
     ProblemInstance,
+    _identity_prox,
     harmonic_curvature,
     inverse_total_curvature,
     is_infinite,
@@ -272,6 +275,14 @@ def _derive_adaptive(instance, schedule, tilde, p_empty, mu_h, p_hat, track_z):
 # The iteration
 
 
+def _forward(instance: ProblemInstance, gamma: float, x: Array, u_bar: Array) -> Array:
+    """prox_{gamma g}(x - gamma (grad f(x) + u_bar)); the zero f and identity g are
+    told by their oracle functions, not by L_f = 0, which a linear f also has."""
+    grad, prox = instance.f.grad, instance.g.prox
+    v = x - gamma * (u_bar if grad is np.zeros_like else grad(x) + u_bar)
+    return v if prox is _identity_prox else prox(gamma, v)
+
+
 def _apply(
     state: SolverState,
     instance: ProblemInstance,
@@ -280,8 +291,7 @@ def _apply(
     accept_when_empty: bool,
 ) -> None:
     gamma = gamma_at(params.schedule, state.t)
-    x = state.x
-    xhat = instance.g.prox(gamma, x - gamma * (instance.f.grad(x) + state.u_bar))
+    xhat = _forward(instance, gamma, state.x, state.u_bar)
     if members:
         eta = params.eta
         u = state.u
@@ -300,7 +310,7 @@ def _apply(
                 x_next += y
                 du_sum += du
         state.x = x_next if len(members) == 1 else x_next / len(members)
-        state.u_bar = state.u_bar + du_sum / instance.n
+        state.u_bar += du_sum / instance.n
     elif accept_when_empty:
         state.x = xhat
     state.t += 1
@@ -557,7 +567,8 @@ def lyapunov(
 ) -> float:
     """Evaluate the certified Lyapunov function at the current state."""
     dx = state.x - instance.x_star
-    du_sq = ((state.u - instance.u_star) ** 2).sum(axis=1)
+    du = state.u - instance.u_star
+    du_sq = np.square(du, out=du).sum(axis=1)
     if spec.adaptive_u_base is not None:
         gamma_prev = gamma_at(params.schedule, state.t - 1)
         x_w = 1.0 + gamma_prev * spec.adaptive_x_mu

@@ -236,6 +236,11 @@ class TestRunConfig:
             RunConfig.from_dict({"experiment": "exp1", "mu": 1.0})
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict({"experiment": "exp3", "alpha": 0.5})
+        # exp2 runs over n = d components and only exp1 stops at a target
+        for raw in ({"experiment": "exp2", "n": 3}, {"experiment": "exp2", "target": 0.5},
+                    {"experiment": "exp3", "target": 10.0}):
+            with pytest.raises(ConfigurationError):
+                RunConfig.from_dict(raw)
 
     def test_rejects_missing_or_unknown_experiment(self):
         with pytest.raises(ConfigurationError):
@@ -475,6 +480,9 @@ class TestTracedSurface:
         count = {name: int((ids == i).sum()) for i, name in enumerate(rec.names)}
         # two arms (one grid stepsize and the adaptive schedule) x 2 x 50
         assert count["solver.step"] == 200
+        # every exp2 step draws one index and runs its hyperplane prox
+        assert count["sampling.sample.uniform_minibatch"] == 200
+        assert count["problems.prox.hyperplane_ridge"] == 200
         # one budget x 2 replicates x 30 rounds
         assert count["federated.fed_step"] == 60
         assert count["problems.generate_instance"] == 2

@@ -92,6 +92,10 @@ class TestRun:
             {"experiment": "exp3", "mu": 0.0},
             {"experiment": "exp3", "k_values": []},
             {"experiment": "exp3", "k_values": [2, 0]},
+            # keys the experiment never reads
+            {"experiment": "exp2", "n": 3},
+            {"experiment": "exp2", "target": 0.5},
+            {"experiment": "exp3", "target": 10.0},
         ]):
             cfg = write_config(tmp_path, payload, name=f"typed-{i}.json")
             result = CliRunner().invoke(main, ["run", "--config", cfg])
@@ -109,6 +113,14 @@ class TestRates:
         assert set(payload) == {"uniform", "importance"}
         for report in payload.values():
             assert 0.0 < report["rho"] < 1.0
+
+    def test_refuses_what_run_refuses(self, tmp_path):
+        # offset at or below 5 violates the decreasing-stepsize hypotheses
+        cfg = write_config(tmp_path, {"experiment": "exp2", "a_offset": 3.0, "d": 8,
+                                      "iterations": 5, "replicates": 1})
+        result = CliRunner().invoke(main, ["rates", "--config", cfg])
+        assert result.exit_code == 2
+        assert "rejected:" in result.output
 
     def test_federated_reports(self, tmp_path):
         result = CliRunner().invoke(main, ["rates", "--config", tiny_exp3(tmp_path)])

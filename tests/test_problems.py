@@ -153,6 +153,8 @@ def test_hyperplane_prox_kkt_structure():
         gamma = float(rng.uniform(0.1, 2.0))
         v = rng.standard_normal(d)
         y = hyperplane_ridge_prox(w, offset, mu, gamma, v)
+        # the oracle binds ||w||^2 once; its prox must agree bit for bit
+        assert hyperplane_ridge(w, offset, mu).prox(gamma, v).tobytes() == y.tobytes()
         assert float(w @ y) == pytest.approx(offset, abs=1e-9)
         r = (1.0 + gamma * mu) * y - v
         residual = r - (r @ w) / (w @ w) * w

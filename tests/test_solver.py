@@ -58,6 +58,7 @@ from multiprox.solver import (
     LINEAR_SINGLE,
     LINEAR_SMOOTH,
     SIMILARITY,
+    _forward,
     clone_state,
     gamma_at,
 )
@@ -428,6 +429,44 @@ class TestStep:
         with pytest.raises(NumericalDivergence) as exc:
             run(inst, params, FullBatch(1), generator(0), 100, state=state)
         assert exc.value.iteration == 10
+
+
+class TestForwardPoint:
+    """The forward point skips the zero f and identity g, and only those."""
+
+    @staticmethod
+    def linear_instance(d=4, mu_g=1.0, mu_h=2.0):
+        # f(x) = c'x has L = 0 and a constant nonzero gradient
+        c = np.linspace(1.0, 2.0, d)
+        center = np.arange(1.0, d + 1.0)
+        x_star = (mu_h * center - c) / (mu_g + mu_h)
+        return ProblemInstance(
+            f=SmoothOracle(grad=lambda x: c, L=0.0, mu=0.0), g=scaled_sqnorm(mu_g),
+            h=(shifted_sqnorm_component(mu_h, center),), n=1, d=d,
+            x_star=x_star, u_star=(mu_h * (x_star - center))[None, :],
+        )
+
+    @pytest.mark.parametrize("kind", ["exp2", "exp3", "linear"])
+    def test_equals_the_full_formula(self, kind):
+        if kind == "linear":
+            inst = self.linear_instance()
+        else:
+            inst = generate_instance(kind, 4, **({"d": 6} if kind == "exp2" else
+                                                 {"n": 3, "d": 6, "l_max": 6.0}))
+            # generated families take both shortcuts
+            assert inst.f.grad is np.zeros_like and inst.g == zero_prox()
+        rng = generator(5)
+        for gamma in (0.01, 0.5, 2.0):
+            x, u_bar = rng.standard_normal((2, inst.d))
+            full = inst.g.prox(gamma, x - gamma * (inst.f.grad(x) + u_bar))
+            assert np.array_equal(_forward(inst, gamma, x, u_bar), full)
+
+    def test_linear_f_still_moves_the_point(self):
+        inst = self.linear_instance()
+        origin = np.zeros(inst.d)
+        moved = _forward(inst, 0.5, origin, origin)
+        assert np.array_equal(moved, -0.5 * inst.f.grad(origin) / 1.5)
+        assert np.all(moved < 0)
 
 
 # ---------------------------------------------------------------------------
