@@ -51,8 +51,6 @@ from .problems import (
     generate_instance,
     hyperplane_ridge,
     is_infinite,
-    load_instance,
-    save_instance,
     scaled_sqnorm,
     zero_prox,
     zero_smooth,
@@ -80,7 +78,6 @@ from .sampling import (
     compressed_view,
     estimate_tilde_probs_mc,
     law_from_config,
-    support_to_csv,
 )
 from .solver import (
     Adaptive,

@@ -271,6 +271,7 @@ def fed_step(
         # Only the coordinates that survived compression move; the rest of
         # each dual vector stays, so u_i generally leaves the subgradient set.
         state.u[rows, cols] -= values / np.repeat(ge, fed.k)
+        state.moved.update(members.tolist())
         # bincount adds in member order, as a loop of scatter-adds would
         scaled_sum = np.bincount(cols, weights=values / np.repeat(eta, fed.k),
                                  minlength=instance.d)

@@ -13,7 +13,6 @@ arithmetic to cancel infinities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -375,7 +374,7 @@ def _solve_reference(f_diag: Array | None, qs: Array, lams: Array, bs: Array):
     return x_star, u_star
 
 
-def _assemble_quadratic_family(kind: str, payload: dict, meta: dict) -> ProblemInstance:
+def _assemble_quadratic_family(kind: str, payload: dict) -> ProblemInstance:
     qs, lams, bs = payload["q"], payload["lam"], payload["b"]
     n, d = lams.shape
     f_diag = payload.get("f_diag")
@@ -403,7 +402,7 @@ def _assemble_quadratic_family(kind: str, payload: dict, meta: dict) -> ProblemI
         x_star=payload["x_star"],
         u_star=payload["u_star"],
         kind=kind,
-        payload=payload | {"meta": meta},
+        payload=payload,
     )
     if instance.optimality_residual() > _OPT_RESIDUAL_TOL:
         raise ConfigurationError(
@@ -449,10 +448,7 @@ def generate_exp1(
         "l_nominal": l_nominal, "mu_nominal": np.zeros(n),
         "x_star": x_star, "u_star": u_star,
     }
-    meta = {"n": n, "d": d, "alpha": alpha, "l_max": l_max, "n_top": n_top,
-            "zero_fraction": zero_fraction, "b_scale": b_scale,
-            "f_low": f_low, "f_high": f_high}
-    return _assemble_quadratic_family(EXP1, payload, meta)
+    return _assemble_quadratic_family(EXP1, payload)
 
 
 def generate_exp3(
@@ -479,13 +475,11 @@ def generate_exp3(
         "l_nominal": np.full(n, l_max), "mu_nominal": np.full(n, mu),
         "x_star": x_star, "u_star": u_star,
     }
-    meta = {"n": n, "d": d, "mu": mu, "l_max": l_max, "b_scale": b_scale}
-    return _assemble_quadratic_family(EXP3, payload, meta)
+    return _assemble_quadratic_family(EXP3, payload)
 
 
-def _assemble_hyperplane_family(payload: dict, meta: dict) -> ProblemInstance:
+def _assemble_hyperplane_family(payload: dict, mu: float) -> ProblemInstance:
     w, offsets = payload["w"], payload["b"]
-    mu = meta["mu"]
     d = w.shape[0]
     h = tuple(hyperplane_ridge(w[i], float(offsets[i]), mu) for i in range(d))
     instance = ProblemInstance(
@@ -497,7 +491,7 @@ def _assemble_hyperplane_family(payload: dict, meta: dict) -> ProblemInstance:
         x_star=payload["x_star"],
         u_star=payload["u_star"],
         kind=EXP2,
-        payload=payload | {"meta": meta},
+        payload=payload,
     )
     if instance.optimality_residual() > _OPT_RESIDUAL_TOL:
         raise ConfigurationError(
@@ -526,8 +520,7 @@ def generate_exp2(
     lam = -d * mu * offsets
     u_star = mu * x_star[None, :] + lam[:, None] * w
     payload = {"w": w, "b": offsets, "x_star": x_star, "u_star": u_star}
-    meta = {"d": d, "mu": mu}
-    return _assemble_hyperplane_family(payload, meta)
+    return _assemble_hyperplane_family(payload, mu)
 
 
 _GENERATORS = {EXP1: generate_exp1, EXP2: generate_exp2, EXP3: generate_exp3}
@@ -541,38 +534,3 @@ def generate_instance(kind: str, rng: np.random.Generator | int, **params) -> Pr
     if not isinstance(rng, np.random.Generator):
         rng = generator(rng)
     return _GENERATORS[key](rng, **params)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-#
-# Instances round-trip through a single .npz container: float64 arrays in C
-# order plus one JSON metadata entry. Only generated families serialize;
-# hand-built oracles have no portable description.
-
-
-def save_instance(instance: ProblemInstance, path) -> None:
-    if instance.kind not in _GENERATORS:
-        raise ConfigurationError(
-            f"only generated families serialize, not {instance.kind!r}"
-        )
-    arrays = {
-        k: np.ascontiguousarray(np.asarray(v, dtype=np.float64))
-        for k, v in instance.payload.items()
-        if k != "meta" and v is not None
-    }
-    meta = dict(instance.payload["meta"])
-    meta["kind"] = instance.kind
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
-
-
-def load_instance(path) -> ProblemInstance:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        payload = {k: data[k] for k in data.files if k != "__meta__"}
-    kind = meta.pop("kind")
-    if kind == EXP2:
-        return _assemble_hyperplane_family(payload, meta)
-    payload.setdefault("f_diag", None)
-    return _assemble_quadratic_family(kind, payload, meta)

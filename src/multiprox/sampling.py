@@ -15,7 +15,6 @@ Indices are 0-based throughout. A drawn subset is a sorted tuple of indices.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -415,15 +414,6 @@ def estimate_tilde_probs_mc(
     else:
         stderr = np.full(dist.n, np.nan)
     return TildeEstimate(tilde=mean, stderr=stderr, draws_used=used, draws_total=draws)
-
-
-def support_to_csv(dist: SamplingDistribution, path) -> None:
-    """Write the exact support as two columns: space-joined indices, probability."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subset", "probability"])
-        for members, prob in dist.enumerate_support():
-            writer.writerow([" ".join(str(i) for i in members), f"{prob:.17g}"])
 
 
 def law_from_config(cfg: dict) -> SamplingDistribution:

@@ -10,7 +10,11 @@ touched. The forward point skips the gradient of the package's zero f
 
 States are advanced in place by :func:`step`; use :func:`clone_state` first
 when the old state must survive (the conditional-expectation helper does
-this internally). The empty-subset coin is drawn from the same stream as the
+this internally). A state caches the mean of its duals and their per-row
+squared distances to the reference duals; both follow ``u``, so code that
+edits ``u`` in place outside :func:`step` and
+:func:`~multiprox.federated.fed_step` rebinds it instead (``state.u = ...``,
+with a fresh ``u_bar``). The empty-subset coin is drawn from the same stream as the
 subsets, immediately after the subset draw, on every empty round regardless
 of the acceptance probability; that fixed order is what makes runs
 reproducible and lets reference implementations align stream for stream.
@@ -19,7 +23,8 @@ reproducible and lets reference implementations align stream for stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -119,23 +124,38 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """Mutable iterate bundle. ``u_bar`` is the cached mean of the rows of ``u``."""
+    """Mutable iterate bundle. ``u_bar`` is the cached mean of the rows of ``u``.
+
+    The state also caches ``du_sq[i] = ||u_i - u*_i||^2`` for the Lyapunov
+    and dual-error evaluations, with the rows moved since its last refresh
+    and the (u, u*) array pair it was built for. Like ``u_bar`` it follows
+    ``u``: step and fed_step mark the rows they move, and code that edits
+    ``u`` in place elsewhere rebinds it, which rebuilds the cache.
+    """
 
     t: int
     x: Array
     u: Array
     u_bar: Array
     z: Array | None = None
+    du_sq: Array | None = field(default=None, init=False, repr=False, compare=False)
+    moved: set = field(default_factory=set, init=False, repr=False, compare=False)
+    du_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def clone_state(state: SolverState) -> SolverState:
-    return SolverState(
+    clone = SolverState(
         t=state.t,
         x=state.x.copy(),
         u=state.u.copy(),
         u_bar=state.u_bar.copy(),
         z=None if state.z is None else state.z.copy(),
     )
+    if state.du_for is not None and state.du_for[0]() is state.u:
+        clone.du_sq = state.du_sq.copy()
+        clone.moved = set(state.moved)
+        clone.du_for = (weakref.ref(clone.u), state.du_for[1])
+    return clone
 
 
 def initial_state(
@@ -263,6 +283,13 @@ def _derive_adaptive(instance, schedule, tilde, p_empty, mu_h, p_hat, track_z):
         raise HypothesisViolation(
             f"schedule curvature {schedule.mu} does not match the certified {mu_ref}"
         )
+    gamma_prev = gamma_at(schedule, -1)
+    if not math.isfinite(gamma_prev * gamma_prev):
+        # the Lyapunov weights square the stepsize of t = -1
+        raise ConfigurationError(
+            f"schedule curvature {schedule.mu} is too small: the squared stepsize "
+            f"{gamma_prev:g}^2 overflows float64"
+        )
     smooth = instance.f.L + instance.f.mu
     if smooth > 0 and gamma_at(schedule, 0) > 2.0 / smooth + 1e-12:
         raise HypothesisViolation(
@@ -295,6 +322,7 @@ def _apply(
     if members:
         eta = params.eta
         u = state.u
+        state.moved.update(members)
         x_next = None
         du_sum = None
         for i in members:
@@ -349,9 +377,31 @@ def sq_dist(state: SolverState, instance: ProblemInstance) -> float:
     return float(diff @ diff)
 
 
+def _dual_sq(state: SolverState, instance: ProblemInstance) -> Array:
+    """The state's ``du_sq``, recomputed only in the rows moved since the last call.
+
+    It is rebuilt whole when ``state.u`` or ``instance.u_star`` is not the pair
+    it was built for. A row of a C-ordered array sums to the same bits alone
+    as in the full ``sum(axis=1)``, so a refreshed row equals a rebuilt one.
+    """
+    u, u_star = state.u, instance.u_star
+    built = state.du_for
+    if built is None or built[0]() is not u or built[1]() is not u_star:
+        du = u - u_star
+        state.du_sq = np.square(du, out=du).sum(axis=1)
+        # a strided layout sums in another order, so it is never refreshed by row
+        state.du_for = (weakref.ref(u), weakref.ref(u_star)) if du.flags.c_contiguous else None
+        state.moved.clear()
+    elif state.moved:
+        rows = list(state.moved)
+        state.du_sq[rows] = np.square(u[rows] - u_star[rows]).sum(axis=1)
+        state.moved.clear()
+    return state.du_sq
+
+
 def dual_error(state: SolverState, instance: ProblemInstance) -> float:
     """Largest per-component dual distance to the reference duals."""
-    return float(np.sqrt(((state.u - instance.u_star) ** 2).sum(axis=1).max()))
+    return float(np.sqrt(_dual_sq(state, instance).max()))
 
 
 def _drive(
@@ -567,8 +617,7 @@ def lyapunov(
 ) -> float:
     """Evaluate the certified Lyapunov function at the current state."""
     dx = state.x - instance.x_star
-    du = state.u - instance.u_star
-    du_sq = np.square(du, out=du).sum(axis=1)
+    du_sq = _dual_sq(state, instance)
     if spec.adaptive_u_base is not None:
         gamma_prev = gamma_at(params.schedule, state.t - 1)
         x_w = 1.0 + gamma_prev * spec.adaptive_x_mu

@@ -16,10 +16,8 @@ from multiprox.problems import (
     hyperplane_ridge_prox,
     inverse_total_curvature,
     is_infinite,
-    load_instance,
     orthogonal_matrix,
     quadratic_prox,
-    save_instance,
     scaled_sqnorm,
     zero_prox,
     zero_smooth,
@@ -301,42 +299,3 @@ def test_custom_instances_validate_shapes():
             f=zero_smooth(), g=zero_prox(), h=(zero_prox(),), n=2, d=3,
             x_star=np.zeros(3), u_star=np.zeros((2, 3)),
         )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-@pytest.mark.parametrize(
-    "kind,params",
-    [
-        ("exp1", dict(n=6, d=6, alpha=0.5, l_max=40.0)),
-        ("exp2", dict(d=12, mu=1e-3)),
-        ("exp3", dict(n=5, d=7, mu=1.0, l_max=20.0)),
-    ],
-)
-def test_instance_round_trip(tmp_path, kind, params):
-    inst = generate_instance(kind, 31, **params)
-    path = tmp_path / "inst.npz"
-    save_instance(inst, path)
-    back = load_instance(path)
-    assert back.kind == inst.kind
-    assert back.n == inst.n and back.d == inst.d
-    np.testing.assert_array_equal(back.x_star, inst.x_star)
-    np.testing.assert_array_equal(back.u_star, inst.u_star)
-    rng = generator(5)
-    v = rng.standard_normal(inst.d)
-    for i in range(inst.n):
-        np.testing.assert_array_equal(
-            back.h[i].prox(0.3, v), inst.h[i].prox(0.3, v)
-        )
-    assert back.optimality_residual() <= 1e-8
-
-
-def test_custom_instance_does_not_serialize(tmp_path):
-    inst = ProblemInstance(
-        f=zero_smooth(), g=zero_prox(), h=(scaled_sqnorm(1.0),), n=1, d=2,
-        x_star=np.zeros(2), u_star=np.zeros((1, 2)),
-    )
-    with pytest.raises(ConfigurationError):
-        save_instance(inst, tmp_path / "x.npz")

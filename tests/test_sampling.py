@@ -18,7 +18,6 @@ from multiprox.sampling import (
     compressed_view,
     estimate_tilde_probs_mc,
     law_from_config,
-    support_to_csv,
 )
 
 SMALL_LAWS = [
@@ -320,18 +319,6 @@ def test_config_round_trip_preserves_law_and_stream(dist):
 def test_law_from_config_rejects_unknown():
     with pytest.raises(ConfigurationError):
         law_from_config({"law": "martingale"})
-
-
-def test_support_csv_bytes(tmp_path):
-    path = tmp_path / "support.csv"
-    support_to_csv(SingletonWeighted([0.25, 0.75]), path)
-    assert path.read_bytes() == b"subset,probability\n0,0.25\n1,0.75\n"
-
-
-def test_support_csv_includes_empty_subset(tmp_path):
-    path = tmp_path / "support.csv"
-    support_to_csv(ExplicitSupport(1, [((), 0.5), ((0,), 0.5)]), path)
-    assert path.read_bytes() == b"subset,probability\n,0.5\n0,0.5\n"
 
 
 # ---------------------------------------------------------------------------
