@@ -14,10 +14,12 @@ this internally). A state caches the mean of its duals and their per-row
 squared distances to the reference duals; both follow ``u``, so code that
 edits ``u`` in place outside :func:`step` and
 :func:`~multiprox.federated.fed_step` rebinds it instead (``state.u = ...``,
-with a fresh ``u_bar``). The empty-subset coin is drawn from the same stream as the
-subsets, immediately after the subset draw, on every empty round regardless
-of the acceptance probability; that fixed order is what makes runs
-reproducible and lets reference implementations align stream for stream.
+with a fresh ``u_bar``).
+
+The empty-subset coin is drawn from the same stream as the subsets,
+immediately after the subset draw, on every empty round regardless of the
+acceptance probability; that fixed order is what makes runs reproducible
+and lets reference implementations align stream for stream.
 """
 
 from __future__ import annotations
@@ -322,7 +324,6 @@ def _apply(
     if members:
         eta = params.eta
         u = state.u
-        state.moved.update(members)
         x_next = None
         du_sum = None
         for i in members:
@@ -330,6 +331,7 @@ def _apply(
             y = instance.h[i].prox(ge, xhat + ge * u[i])
             du = (xhat - y) / ge
             u[i] += du
+            state.moved.add(i)
             if state.z is not None:
                 state.z[i] = y
             if x_next is None:
@@ -381,16 +383,20 @@ def _dual_sq(state: SolverState, instance: ProblemInstance) -> Array:
     """The state's ``du_sq``, recomputed only in the rows moved since the last call.
 
     It is rebuilt whole when ``state.u`` or ``instance.u_star`` is not the pair
-    it was built for. A row of a C-ordered array sums to the same bits alone
-    as in the full ``sum(axis=1)``, so a refreshed row equals a rebuilt one.
+    it was built for, and when more than an eighth of the rows moved, where
+    gathering them costs more than one pass over all. A row of a C-ordered
+    array sums to the same bits alone as in the full ``sum(axis=1)``, so a
+    refreshed row equals a rebuilt one.
     """
     u, u_star = state.u, instance.u_star
     built = state.du_for
-    if built is None or built[0]() is not u or built[1]() is not u_star:
+    if (built is None or built[0]() is not u or built[1]() is not u_star
+            or 8 * len(state.moved) > len(u)):
         du = u - u_star
         state.du_sq = np.square(du, out=du).sum(axis=1)
-        # a strided layout sums in another order, so it is never refreshed by row
-        state.du_for = (weakref.ref(u), weakref.ref(u_star)) if du.flags.c_contiguous else None
+        # a column-major difference sums in another order: never refresh it by row
+        contiguous = du.flags.c_contiguous
+        state.du_for = (weakref.ref(u), weakref.ref(u_star)) if contiguous else None
         state.moved.clear()
     elif state.moved:
         rows = list(state.moved)

@@ -1,8 +1,13 @@
 """Command line interface: subcommands, JSON output, exit codes."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiprox.cli import main
 
@@ -96,11 +101,14 @@ class TestRun:
             {"experiment": "exp2", "n": 3},
             {"experiment": "exp2", "target": 0.5},
             {"experiment": "exp3", "target": 10.0},
+            # gamma(-1) = 2 / (mu (a - 1)) squares past float64
+            {"experiment": "exp2", "mu": 1e-300, "d": 3, "iterations": 5, "replicates": 1},
         ]):
             cfg = write_config(tmp_path, payload, name=f"typed-{i}.json")
-            result = CliRunner().invoke(main, ["run", "--config", cfg])
-            assert result.exit_code == 1, payload
-            assert "error:" in result.output, payload
+            for command in ("run", "rates"):
+                result = CliRunner().invoke(main, [command, "--config", cfg])
+                assert result.exit_code == 1, (command, payload)
+                assert "error:" in result.output, (command, payload)
 
 
 class TestRates:
@@ -128,6 +136,43 @@ class TestRates:
         payload = json.loads(result.output)
         assert payload["k-2"]["kind"] == "federated"
         assert payload["k-2"]["iteration_complexity"] > 0
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def small_configs(draw):
+    experiment = draw(st.sampled_from(["exp1", "exp2", "exp3"]))
+    cfg = {"experiment": experiment, "seed": draw(st.integers(0, 1000)),
+           "d": draw(st.integers(1, 6)), "iterations": draw(st.integers(1, 20)),
+           "replicates": draw(st.integers(1, 2))}
+    if experiment == "exp1":
+        cfg.update(n=draw(st.integers(1, 6)), alpha=draw(st.floats(0.01, 1.0)),
+                   l_max=draw(log_uniform(1e-3, 1e6)))
+    elif experiment == "exp2":
+        cfg.update(mu=draw(log_uniform(1e-300, 1e2)), a_offset=draw(log_uniform(1.0, 1e4)),
+                   grid=[0.5])
+    else:
+        cfg.update(n=draw(st.integers(1, 6)), mu=draw(log_uniform(1e-300, 1e2)),
+                   l_max=draw(log_uniform(1e-3, 1e6)), k_values=[1])
+    return cfg
+
+
+class TestRatesAgreeWithRun:
+    @settings(max_examples=60, deadline=None)
+    @given(payload=small_configs())
+    def test_rates_refuses_exactly_when_run_refuses(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), payload)
+            results = {command: CliRunner().invoke(main, [command, "--config", cfg])
+                       for command in ("run", "rates")}
+        for command, result in results.items():
+            # a traceback escapes as an exception other than the exit
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                command, payload, result.exception)
+        assert (results["run"].exit_code == 2) == (results["rates"].exit_code == 2), payload
 
 
 class TestBench:

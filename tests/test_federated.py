@@ -10,6 +10,8 @@ compared against that enumeration, which exercises the real stream plumbing.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiprox import (
     CommLedger,
@@ -31,11 +33,14 @@ from multiprox import (
     compress,
     derive_fed_params,
     derive_params,
+    dual_error,
     fed_run,
     fed_step,
     generate_instance,
     generator,
     initial_state,
+    lyapunov,
+    make_lyapunov_spec,
     rescale,
     step,
     zero_prox,
@@ -43,6 +48,7 @@ from multiprox import (
 from multiprox.federated import CompressedMessage
 from multiprox.rates import fed_plan, rho_theorem1, RateInputs
 from multiprox.sampling import compressed_view
+from multiprox.solver import LINEAR_SMOOTH
 
 
 def fed_rngs(omega_seed, server_seed, client_seeds):
@@ -308,6 +314,29 @@ class TestFedStep:
         assert ledger.uplink_parallel_reals == 2 * active_rounds
         assert ledger.uplink_total_reals == 2 * participants
         assert ledger.downlink_total_reals == 4 * participants
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           chunks=st.lists(st.integers(0, 6), min_size=1, max_size=6))
+    def test_cached_dual_distances_follow_the_rounds(self, seed, chunks):
+        # compressed rounds move a few coordinates of each member's dual row;
+        # with n = 16, one round's rows are refreshed by row
+        inst = small_exact_instance(n=16, d=6, mu=1.0, l_max=20.0)
+        dist = UniformMinibatch(16, 2)
+        fed = derive_fed_params(inst, dist, 2)
+        spec = make_lyapunov_spec(LINEAR_SMOOTH, inst, fed.effective, fed.solver)
+        rngs = FedRng.from_seed(seed, inst.n)
+        server = initial_state(inst, x0=np.full(inst.d, 3.0))
+        ledger = CommLedger()
+        for rounds in chunks:
+            for _ in range(rounds):
+                fed_step(server, inst, fed, dist, rngs, ledger)
+            rebuilt = SolverState(t=server.t, x=server.x.copy(), u=server.u.copy(),
+                                  u_bar=server.u_bar.copy())
+            assert (lyapunov(server, inst, fed.solver, spec)
+                    == lyapunov(rebuilt, inst, fed.solver, spec))
+            assert dual_error(server, inst) == float(
+                np.sqrt(((server.u - inst.u_star) ** 2).sum(axis=1).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ on shared random streams.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiprox import (
     INFINITE,
@@ -58,6 +61,7 @@ from multiprox.solver import (
     LINEAR_SINGLE,
     LINEAR_SMOOTH,
     SIMILARITY,
+    _dual_sq,
     _forward,
     clone_state,
     gamma_at,
@@ -703,6 +707,131 @@ class TestLyapunovSpecGates:
     def test_rate_inputs_reject_adaptive_schedules(self):
         with pytest.raises(HypothesisViolation):
             rate_inputs_from(self.inst, self.law, self.adaptive)
+
+
+# ---------------------------------------------------------------------------
+# The dual-distance cache
+
+
+def fresh(state):
+    """The same iterates in a new state, whose first evaluation builds from scratch."""
+    return SolverState(t=state.t, x=state.x.copy(), u=state.u.copy(),
+                       u_bar=state.u_bar.copy(),
+                       z=None if state.z is None else state.z.copy())
+
+
+def scratch_dual_error(state, inst):
+    return float(np.sqrt(((state.u - inst.u_star) ** 2).sum(axis=1).max()))
+
+
+@functools.cache
+def cache_case(name):
+    """(instance, law, params, spec) of one family, law and Lyapunov variant.
+
+    With n >= 8, one moved row is refreshed by row and many rebuild all.
+    """
+    if name == "exp1-singleton-weighted":
+        inst = generate_instance("exp1", 3, n=24, d=5, alpha=0.5, l_max=40.0)
+        _, weights, gamma = importance_plan(inst.L_h, mu_f=inst.f.mu, mu_g=inst.g.mu,
+                                            L_f=inst.f.L)
+        law, schedule, variant = SingletonWeighted(weights), Constant(gamma), LINEAR_SMOOTH
+    elif name == "exp2-uniform-1-adaptive":
+        inst = generate_instance("exp2", 4, d=24, mu=0.1)
+        law, schedule, variant = UniformMinibatch(24, 1), Adaptive(0.1, 5.5), ACCEL_NONEMPTY
+    elif name == "exp3-uniform-2":
+        inst = generate_instance("exp3", 5, n=24, d=5, mu=0.5, l_max=6.0)
+        law, schedule, variant = UniformMinibatch(24, 2), Constant(0.05), LINEAR_SMOOTH
+    elif name == "exp3-independent-with-empties":
+        # n = 8 keeps its 2^8-subset support cheap to enumerate
+        inst = generate_instance("exp3", 5, n=8, d=5, mu=0.5, l_max=6.0)
+        law = IndependentParticipation(np.full(8, 0.2))
+        schedule, variant = Constant(0.05), LINEAR_SMOOTH
+    else:
+        inst = strong_single_instance()
+        law, schedule, variant = single_empty_law(0.5), Constant(0.25), LINEAR_SINGLE
+    params = derive_params(inst, law, schedule)
+    return inst, law, params, make_lyapunov_spec(variant, inst, law, params)
+
+
+CACHE_CASES = ["exp1-singleton-weighted", "exp2-uniform-1-adaptive", "exp3-uniform-2",
+               "exp3-independent-with-empties", "single-with-empties"]
+
+
+class TestDualDistanceCache:
+    """Evaluations through the per-row cache equal a from-scratch rebuild under ==."""
+
+    @pytest.mark.parametrize("case", CACHE_CASES)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           chunks=st.lists(st.tuples(st.integers(0, 8), st.booleans(), st.booleans()),
+                           min_size=1, max_size=6))
+    def test_equals_a_rebuild_after_any_steps(self, case, seed, chunks):
+        inst, law, params, spec = cache_case(case)
+        rng = generator(seed)
+        state = initial_state(inst, x0=inst.x_star + rng.standard_normal(inst.d))
+        for steps, rebind, dual_first in chunks:
+            for _ in range(steps):
+                step(state, inst, params, law, rng)
+            if rebind:
+                state.u = state.u + rng.standard_normal(state.u.shape)
+                state.u_bar = state.u.mean(axis=0)
+            if dual_first:
+                assert dual_error(state, inst) == scratch_dual_error(state, inst)
+            assert (lyapunov(state, inst, params, spec)
+                    == lyapunov(fresh(state), inst, params, spec))
+            assert dual_error(state, inst) == scratch_dual_error(state, inst)
+
+    def test_one_state_against_two_instances(self):
+        law = UniformMinibatch(24, 1)
+        pairs = []
+        for seed in (5, 6):
+            inst = generate_instance("exp3", seed, n=24, d=5, mu=0.5, l_max=6.0)
+            params = derive_params(inst, law, Constant(0.05))
+            pairs.append((inst, params, make_lyapunov_spec(LINEAR_SMOOTH, inst, law, params)))
+        (a, params_a, _), _ = pairs
+        rng = generator(7)
+        state = initial_state(a, x0=rng.standard_normal(a.d))
+        for _ in range(30):
+            step(state, a, params_a, law, rng)
+            for inst, params, spec in pairs:
+                assert (lyapunov(state, inst, params, spec)
+                        == lyapunov(fresh(state), inst, params, spec))
+                assert dual_error(state, inst) == scratch_dual_error(state, inst)
+
+    @pytest.mark.parametrize("case", CACHE_CASES)
+    def test_clones_carry_the_cache_into_the_expectation(self, case):
+        inst, law, params, spec = cache_case(case)
+        rng = generator(8)
+        state = initial_state(inst, x0=inst.x_star + rng.standard_normal(inst.d))
+        for steps in (0, 1, 3, 2):
+            lyapunov(state, inst, params, spec)
+            # rows moved after the evaluation are pending when the state is cloned
+            for _ in range(steps):
+                step(state, inst, params, law, rng)
+            clone = clone_state(state)
+            assert (lyapunov(clone, inst, params, spec)
+                    == lyapunov(fresh(state), inst, params, spec))
+            assert (conditional_expected_lyapunov(state, inst, params, law, spec)
+                    == conditional_expected_lyapunov(fresh(state), inst, params, law, spec))
+            # the branches left the state's own cache alone
+            assert (lyapunov(state, inst, params, spec)
+                    == lyapunov(fresh(state), inst, params, spec))
+
+    def test_column_major_duals_are_summed_as_today(self):
+        # rows longer than numpy's 8-way unrolled block sum in another order
+        # when u - u* comes out column-major, so it is never refreshed by row
+        inst = generate_instance("exp3", 9, n=16, d=40, mu=0.5, l_max=6.0)
+        inst = dataclasses.replace(inst, u_star=np.asfortranarray(inst.u_star))
+        law = UniformMinibatch(16, 1)
+        params = derive_params(inst, law, Constant(0.05))
+        rng = generator(9)
+        state = initial_state(inst, x0=rng.standard_normal(inst.d))
+        state.u = np.asfortranarray(state.u + rng.standard_normal(state.u.shape))
+        for _ in range(20):
+            step(state, inst, params, law, rng)
+            du = state.u - inst.u_star
+            assert np.array_equal(_dual_sq(state, inst), np.square(du, out=du).sum(axis=1))
+            assert dual_error(state, inst) == scratch_dual_error(state, inst)
 
 
 # ---------------------------------------------------------------------------
