@@ -10,16 +10,13 @@ touched. The forward point skips the gradient of the package's zero f
 
 States are advanced in place by :func:`step`; use :func:`clone_state` first
 when the old state must survive (the conditional-expectation helper does
-this internally). A state caches the mean of its duals and their per-row
-squared distances to the reference duals; both follow ``u``, so code that
-edits ``u`` in place outside :func:`step` and
-:func:`~multiprox.federated.fed_step` rebinds it instead (``state.u = ...``,
-with a fresh ``u_bar``).
-
-The empty-subset coin is drawn from the same stream as the subsets,
-immediately after the subset draw, on every empty round regardless of the
-acceptance probability; that fixed order is what makes runs reproducible
-and lets reference implementations align stream for stream.
+this internally). A state caches the mean of its duals and their squared
+distances to the reference duals; both follow ``u``, so code that edits ``u``
+in place outside :func:`step` and ``fed_step`` rebinds it (``state.u = ...``
+with a fresh ``u_bar``). The empty-subset coin is drawn from the same stream
+as the subsets, immediately after the subset draw, on every empty round
+regardless of the acceptance probability; that fixed order is what makes
+runs reproducible and lets reference implementations align stream for stream.
 """
 
 from __future__ import annotations

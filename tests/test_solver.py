@@ -817,7 +817,7 @@ class TestDualDistanceCache:
             assert (lyapunov(state, inst, params, spec)
                     == lyapunov(fresh(state), inst, params, spec))
 
-    def test_column_major_duals_are_summed_as_today(self):
+    def test_column_major_duals_sum_as_a_rebuild(self):
         # rows longer than numpy's 8-way unrolled block sum in another order
         # when u - u* comes out column-major, so it is never refreshed by row
         inst = generate_instance("exp3", 9, n=16, d=40, mu=0.5, l_max=6.0)
