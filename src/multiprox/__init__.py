@@ -22,11 +22,9 @@ from .bench import (
     load_config,
     preset,
     run_experiment,
-    save_config,
 )
 from .errors import (
     ConfigurationError,
-    DegenerateSample,
     HypothesisViolation,
     MultiproxError,
     NumericalDivergence,
@@ -62,8 +60,6 @@ from .rates import (
     rho_n1_simple_g,
     rho_similarity,
     rho_theorem1,
-    similarity_plan,
-    stepsize_plans,
     uniform_minibatch_plan,
 )
 from .rng import generator, seed_sequence, spawn
@@ -76,8 +72,6 @@ from .sampling import (
     ThinnedView,
     UniformMinibatch,
     compressed_view,
-    estimate_tilde_probs_mc,
-    law_from_config,
 )
 from .solver import (
     Adaptive,

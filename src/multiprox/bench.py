@@ -48,7 +48,7 @@ from .errors import ConfigurationError
 from .federated import FedRng, derive_fed_params, fed_run
 from .problems import ProblemInstance, generate_instance
 from .rates import rate_report, uniform_minibatch_plan
-from .rng import generator, seed_sequence
+from .rng import generator, spawn
 from .sampling import FullBatch, SamplingDistribution, SingletonWeighted, UniformMinibatch
 from .solver import (
     ACCEL_NONEMPTY,
@@ -152,7 +152,9 @@ class RunConfig:
             (("target", "l_max", "mu"), lambda v: v > 0, "positive"),
             (("alpha",), lambda v: 0 < v <= 1, "in (0, 1]"),
             (("grid",), lambda v: v and min(v) > 0, "a nonempty list of positive numbers"),
-            (("k_values",), lambda v: v and min(v) >= 1, "a nonempty list of integers >= 1"),
+            # one arm per k: a repeat would overwrite its twin's arm
+            (("k_values",), lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
+             "a nonempty list of distinct integers >= 1"),
         ):
             for name in names:
                 v = getattr(self, name)
@@ -192,12 +194,6 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
     return RunConfig.from_dict(raw)
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 PRESETS: dict[str, RunConfig] = {
@@ -404,7 +400,7 @@ def instance_for(cfg: RunConfig) -> ProblemInstance:
         "exp2": dict(d=cfg.d, mu=cfg.mu),
         "exp3": dict(n=cfg.n, d=cfg.d, mu=cfg.mu, l_max=cfg.l_max),
     }[cfg.experiment]
-    rng = generator(seed_sequence(cfg.seed).spawn(1)[0])
+    (rng,) = spawn(cfg.seed, 1)
     return generate_instance(cfg.experiment, rng, **sizes)
 
 

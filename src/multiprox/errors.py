@@ -27,13 +27,9 @@ class Unsupported(MultiproxError):
 class UnsupportedExact(Unsupported):
     """An exact computation was requested past its tractable size.
 
-    Typically subset-support enumeration beyond 25 clients. A Monte Carlo
-    estimate usually remains available.
+    Typically subset-support enumeration beyond 25 clients, for a law
+    without a closed form.
     """
-
-
-class DegenerateSample(MultiproxError):
-    """A Monte Carlo estimate received no usable draws (all subsets empty)."""
 
 
 class NumericalDivergence(MultiproxError):

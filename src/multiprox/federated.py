@@ -27,7 +27,6 @@ as a per-client loop would. Only the masks are drawn client by client.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import ConfigurationError, HypothesisViolation
 from .problems import ProblemInstance, is_infinite
 from .rates import fed_plan, rho_theorem1
-from .rng import SeedLike, seed_sequence
+from .rng import SeedLike, spawn
 from .sampling import SamplingDistribution, UniformMinibatch, compressed_view
 from .solver import (
     LINEAR_SMOOTH,
@@ -65,15 +64,6 @@ class CompressedMessage:
     indices: Array
     values: Array
 
-    def payload_reals(self) -> int:
-        return int(self.values.size)
-
-    def index_bits(self, d: int) -> int:
-        # Index overhead: k addresses of ceil(log2 d) bits each.
-        if d <= 1:
-            return 0
-        return int(self.indices.size) * math.ceil(math.log2(d))
-
 
 @dataclass
 class CommLedger:
@@ -101,13 +91,8 @@ class FedRng:
 
     @classmethod
     def from_seed(cls, seed: SeedLike, n: int) -> "FedRng":
-        children = seed_sequence(seed).spawn(n + 2)
-        make = lambda c: np.random.Generator(np.random.Philox(c))
-        return cls(
-            omega=make(children[0]),
-            server=make(children[1]),
-            clients=[make(c) for c in children[2:]],
-        )
+        omega, server, *clients = spawn(seed, n + 2)
+        return cls(omega=omega, server=server, clients=clients)
 
 
 def compress(v: Array, k: int, rng: np.random.Generator) -> CompressedMessage:

@@ -341,7 +341,6 @@ def _draw_spectral_components(
     eig_low: Array,
     eig_high: Array,
     zero_count: int,
-    b_low: float,
     b_high: float,
 ):
     # Per component, consumption order is Q, eigenvalues, linear term; the
@@ -354,7 +353,7 @@ def _draw_spectral_components(
         lam = np.zeros(d)
         lam[zero_count:] = rng.uniform(eig_low[i], eig_high[i], size=d - zero_count)
         lams[i] = lam
-        bs[i] = rng.uniform(b_low, b_high, size=d)
+        bs[i] = rng.uniform(0.0, b_high, size=d)
     return qs, lams, bs
 
 
@@ -417,30 +416,24 @@ def generate_exp1(
     d: int = 100,
     alpha: float = 0.05,
     l_max: float = 1000.0,
-    n_top: int | None = None,
-    zero_fraction: float = 0.2,
-    b_scale: float = 1.0,
-    f_low: float = 0.1,
-    f_high: float = 10.0,
 ) -> ProblemInstance:
     """Smooth split quadratics with two smoothness groups.
 
-    The first ``n_top`` components (a fifth of n when unset) carry the
-    nominal constant ``l_max``, the rest ``alpha * l_max``. A fifth of each
-    spectrum is zero, so individual components are smooth but not strongly
-    convex; the diagonal f term keeps the aggregate strongly convex.
+    The first fifth of the components (at least one) carry the nominal
+    constant ``l_max``, the rest ``alpha * l_max``. A fifth of each spectrum
+    is zero, so individual components are smooth but not strongly convex;
+    the diagonal f term, drawn from [0.1, 10], keeps the aggregate strongly
+    convex. Linear terms are drawn from [0, 1].
     """
-    if n_top is None:
-        n_top = max(1, n // 5)
-    if not (0 < alpha <= 1) or not (0 < n_top <= n):
-        raise ConfigurationError(f"bad two-group layout: alpha={alpha}, n_top={n_top}")
-    f_diag = rng.uniform(f_low, f_high, size=d)
+    if not 0 < alpha <= 1:
+        raise ConfigurationError(f"bad two-group layout: alpha={alpha}")
+    n_top = max(1, n // 5)
+    f_diag = rng.uniform(0.1, 10.0, size=d)
     l_nominal = np.concatenate([np.full(n_top, l_max), np.full(n - n_top, alpha * l_max)])
-    zero_count = int(round(zero_fraction * d))
     qs, lams, bs = _draw_spectral_components(
         rng, n, d,
         eig_low=np.zeros(n), eig_high=l_nominal,
-        zero_count=zero_count, b_low=0.0, b_high=b_scale,
+        zero_count=int(round(0.2 * d)), b_high=1.0,
     )
     x_star, u_star = _solve_reference(f_diag, qs, lams, bs)
     payload = {
@@ -457,17 +450,17 @@ def generate_exp3(
     d: int = 100,
     mu: float = 1.0,
     l_max: float = 50.0,
-    b_scale: float | None = None,
 ) -> ProblemInstance:
-    """Strongly convex quadratic components with spectra inside [mu, l_max]."""
+    """Strongly convex quadratic components with spectra inside [mu, l_max].
+
+    Linear terms are drawn from [0, l_max].
+    """
     if not (0 < mu < l_max):
         raise ConfigurationError(f"need 0 < mu < l_max, got mu={mu}, l_max={l_max}")
-    if b_scale is None:
-        b_scale = l_max
     qs, lams, bs = _draw_spectral_components(
         rng, n, d,
         eig_low=np.full(n, mu), eig_high=np.full(n, l_max),
-        zero_count=0, b_low=0.0, b_high=b_scale,
+        zero_count=0, b_high=l_max,
     )
     x_star, u_star = _solve_reference(None, qs, lams, bs)
     payload = {

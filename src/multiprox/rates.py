@@ -65,11 +65,6 @@ class RateInputs:
     p_hat: float = 1.0
     p_bar: float = 0.0
     delta: float | None = None
-    p_s: float | None = None
-    s: int | None = None
-    n: int | None = None
-    k: int | None = None
-    d: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
@@ -79,8 +74,6 @@ class RateInputs:
         m = self.p.size
         if not (self.eta.size == m and self.mu_h.size == m and len(self.L_h) == m):
             raise HypothesisViolation("per-component inputs disagree on n")
-        if self.n is None:
-            object.__setattr__(self, "n", m)
 
     @property
     def size(self) -> int:
@@ -254,9 +247,8 @@ def similarity_terms(ri: RateInputs) -> tuple[float, float]:
         raise HypothesisViolation("the similarity bound fixes all relaxation weights to 1")
     mu_h = _uniform_scalar(ri.mu_h, "component curvature")
     L = _uniform_L(ri.L_h)
-    p_s = ri.p_s if ri.p_s is not None else _uniform_scalar(ri.p, "inclusion probability")
-    if not 0.0 < p_s <= 1.0:
-        raise HypothesisViolation(f"participation probability {p_s} outside (0, 1]")
+    # in (0, 1] by _check_common
+    p_s = _uniform_scalar(ri.p, "inclusion probability")
     if not is_infinite(L) and ri.delta > L + _TOL:
         raise HypothesisViolation("dissimilarity cannot exceed the shared smoothness constant")
     _check_strong_source(ri.mu_f, mu_h)
@@ -345,37 +337,6 @@ def uniform_minibatch_plan(
     return StepsizePlan(gamma=gamma, complexity=complexity)
 
 
-def similarity_plan(
-    L_f: float, L_h: Curvature, mu_f: float, mu_h: float, delta: float, p_s: float
-) -> StepsizePlan:
-    """Stepsize choice exploiting component similarity."""
-    strength = mu_f + mu_h
-    if strength <= 0:
-        raise HypothesisViolation("the similarity plan needs positive curvature")
-    if not 0.0 < p_s <= 1.0:
-        raise HypothesisViolation(f"participation probability {p_s} outside (0, 1]")
-    if delta < 0:
-        raise HypothesisViolation(f"negative dissimilarity {delta}")
-    if is_infinite(L_h):
-        denom = delta
-        smooth_part = None
-    else:
-        smooth_part = math.sqrt(L_h * strength)
-        denom = min(delta, smooth_part)
-    candidates = []
-    if L_f > 0:
-        candidates.append(1.0 / L_f)
-    if denom > 0:
-        candidates.append(math.sqrt(p_s) / denom)
-    gamma = min(candidates) if candidates else VERY_LARGE_GAMMA
-    if smooth_part is None:
-        mixing = delta / strength
-    else:
-        mixing = min(delta / strength, math.sqrt(L_h / strength))
-    complexity = L_f / strength + mixing / math.sqrt(p_s) + 1.0 / p_s
-    return StepsizePlan(gamma=gamma, complexity=complexity)
-
-
 def fed_plan(
     n: int, d: int, k: int, s: int, L_h: float, mu_h: float, gamma: float | None = None
 ) -> StepsizePlan:
@@ -410,41 +371,3 @@ def fed_plan(
             "communication": active * k * iteration,
         },
     )
-
-
-def stepsize_plans(ri: RateInputs) -> dict[str, StepsizePlan]:
-    """Every plan whose hypotheses the inputs satisfy, keyed by plan name."""
-    plans: dict[str, StepsizePlan] = {}
-    finite_L = [L for L in ri.L_h if not is_infinite(L)]
-    all_finite = len(finite_L) == ri.size
-    s = ri.s
-    if s is None and np.allclose(ri.p, ri.p[0], atol=1e-12):
-        inferred = float(ri.p[0]) * ri.size
-        if abs(inferred - round(inferred)) < 1e-9:
-            s = int(round(inferred))
-    mu_total = ri.mu_f + ri.mu_g + float(ri.mu_h.min())
-    if s is not None and all_finite and mu_total > 0:
-        plans["uniform_minibatch"] = uniform_minibatch_plan(
-            ri.size, s, ri.L_f, max(finite_L), mu_total
-        )
-    if ri.delta is not None:
-        try:
-            mu_h = _uniform_scalar(ri.mu_h, "component curvature")
-            L = _uniform_L(ri.L_h)
-            p_s = ri.p_s if ri.p_s is not None else _uniform_scalar(ri.p, "inclusion probability")
-            plans["similarity"] = similarity_plan(ri.L_f, L, ri.mu_f, mu_h, ri.delta, p_s)
-        except HypothesisViolation:
-            pass
-    if (
-        ri.k is not None and ri.d is not None and s is not None
-        and ri.L_f == 0.0 and all_finite
-    ):
-        try:
-            mu_h = _uniform_scalar(ri.mu_h, "component curvature")
-            L = _uniform_scalar(np.asarray([float(x) for x in ri.L_h]), "component smoothness")
-            plans["federated"] = fed_plan(ri.n, ri.d, ri.k, s, L, mu_h)
-        except HypothesisViolation:
-            pass
-    if not plans:
-        raise HypothesisViolation("no stepsize plan applies to these inputs")
-    return plans

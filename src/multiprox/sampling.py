@@ -7,8 +7,8 @@ probability of the empty subset, and the reweighting vector tilde_p defined
 by E[mean over the drawn subset of v_i | subset nonempty] = sum tilde_p_i v_i.
 
 Closed forms cover the common laws; everything else falls back to exact
-support enumeration up to 25 components (:class:`UnsupportedExact` beyond)
-or to Monte Carlo estimation.
+support enumeration up to 25 components and raises
+:class:`UnsupportedExact` beyond.
 
 Indices are 0-based throughout. A drawn subset is a sorted tuple of indices.
 """
@@ -16,12 +16,11 @@ Indices are 0-based throughout. A drawn subset is a sorted tuple of indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateSample, UnsupportedExact
+from .errors import ConfigurationError, UnsupportedExact
 
 Array = np.ndarray
 
@@ -30,16 +29,6 @@ _PROB_TOL = 1e-12
 
 
 Support = list[tuple[tuple[int, ...], float]]
-
-
-@dataclass(frozen=True)
-class TildeEstimate:
-    """Monte Carlo estimate of tilde_p with per-coordinate standard errors."""
-
-    tilde: Array
-    stderr: Array
-    draws_used: int
-    draws_total: int
 
 
 class SamplingDistribution:
@@ -97,7 +86,7 @@ class SamplingDistribution:
         if self.n > ENUMERATION_LIMIT:
             raise UnsupportedExact(
                 f"exact enumeration over n={self.n} components exceeds the "
-                f"limit of {ENUMERATION_LIMIT}; use Monte Carlo estimation"
+                f"limit of {ENUMERATION_LIMIT}"
             )
 
     def validate_proper(self) -> None:
@@ -202,7 +191,7 @@ class SingletonWeighted(SamplingDistribution):
         return 0.0
 
     def is_exchangeable(self) -> bool:
-        return bool(np.allclose(self.q, 1.0 / self.n, atol=_PROB_TOL))
+        return bool(np.allclose(self.q, 1.0 / self.n, rtol=0.0, atol=_PROB_TOL))
 
     def _tilde_closed_form(self) -> Array:
         return self.q.copy()
@@ -237,7 +226,7 @@ class IndependentParticipation(SamplingDistribution):
         return float(np.prod(1.0 - self.r))
 
     def is_exchangeable(self) -> bool:
-        return bool(np.allclose(self.r, self.r[0], atol=_PROB_TOL))
+        return bool(np.allclose(self.r, self.r[0], rtol=0.0, atol=_PROB_TOL))
 
     def enumerate_support(self) -> Support:
         self._check_enumerable()
@@ -385,51 +374,3 @@ def compressed_view(dist: SamplingDistribution, k: int, d: int) -> SamplingDistr
     if isinstance(dist, IndependentParticipation):
         return IndependentParticipation(ratio * dist.r)
     return ThinnedView(dist, ratio)
-
-
-def estimate_tilde_probs_mc(
-    dist: SamplingDistribution, rng: np.random.Generator, draws: int
-) -> TildeEstimate:
-    """Plain Monte Carlo for tilde_p: average of indicator/|subset| over nonempty draws."""
-    if draws < 1:
-        raise ConfigurationError(f"need at least one draw, got {draws}")
-    total = np.zeros(dist.n)
-    total_sq = np.zeros(dist.n)
-    used = 0
-    for _ in range(draws):
-        subset = dist.sample(rng)
-        if not subset:
-            continue
-        used += 1
-        w = 1.0 / len(subset)
-        idx = list(subset)
-        total[idx] += w
-        total_sq[idx] += w * w
-    if used == 0:
-        raise DegenerateSample(f"all {draws} subsets were empty")
-    mean = total / used
-    if used > 1:
-        var = (total_sq - used * mean**2) / (used - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / used)
-    else:
-        stderr = np.full(dist.n, np.nan)
-    return TildeEstimate(tilde=mean, stderr=stderr, draws_used=used, draws_total=draws)
-
-
-def law_from_config(cfg: dict) -> SamplingDistribution:
-    """Rebuild a law from its ``to_config`` dictionary."""
-    cfg = dict(cfg)
-    law = cfg.pop("law", None)
-    if law == UniformMinibatch.law:
-        return UniformMinibatch(cfg["n"], cfg["s"])
-    if law == FullBatch.law:
-        return FullBatch(cfg["n"])
-    if law == SingletonWeighted.law:
-        return SingletonWeighted(cfg["q"])
-    if law == IndependentParticipation.law:
-        return IndependentParticipation(cfg["r"])
-    if law == ExplicitSupport.law:
-        return ExplicitSupport(cfg["n"], cfg["support"])
-    if law == ThinnedView.law:
-        return ThinnedView(law_from_config(cfg["base"]), cfg["keep_ratio"])
-    raise ConfigurationError(f"unknown sampling law {law!r}")

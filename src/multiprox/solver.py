@@ -506,7 +506,6 @@ def rate_inputs_from(
     instance: ProblemInstance,
     dist: SamplingDistribution,
     params: SolverParams,
-    **extra,
 ) -> RateInputs:
     """Assemble rate-formula inputs from a problem, law, and derived parameters."""
     if not isinstance(params.schedule, Constant):
@@ -525,7 +524,6 @@ def rate_inputs_from(
         p_hat=params.p_hat,
         p_bar=params.p_bar,
         delta=instance.delta,
-        **extra,
     )
 
 
@@ -670,9 +668,7 @@ def conditional_expected_lyapunov(
 # Importance sampling and single-index reference step
 
 
-def importance_plan(
-    L_h, mu_f: float, mu_g: float, L_f: float = 0.0, max_L_h: float | None = None
-):
+def importance_plan(L_h, mu_f: float, mu_g: float, L_f: float = 0.0):
     """Singleton weights and stepsize biased toward the stiffest components.
 
     Valid for components without strong convexity. Returns the raw scores,
@@ -689,7 +685,7 @@ def importance_plan(
     n = L.size
     b = np.maximum(1.0, np.sqrt(L / (n * strength)))
     weights = b / b.sum()
-    top = float(L.max()) if max_L_h is None else max_L_h
+    top = float(L.max())
     if top > 0:
         scale = max(math.sqrt(n / (top * strength)), 1.0 / strength)
     else:

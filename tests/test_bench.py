@@ -40,7 +40,6 @@ from multiprox.bench import (
     preset,
     rate_summaries,
     run_experiment,
-    save_config,
 )
 
 
@@ -255,7 +254,7 @@ class TestRunConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(experiment="exp3", k_values=[1, 2], mu=0.5)
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
 
     def test_bad_config_files(self, tmp_path):

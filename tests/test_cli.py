@@ -81,6 +81,10 @@ class TestRun:
         )
         assert result.exit_code == 1
 
+        # a repeated k once ran its arm twice and kept one
+        duplicate_k = {"experiment": "exp3", "n": 4, "d": 4, "k_values": [2, 2],
+                       "replicates": 1, "iterations": 20}
+
         # badly typed values get the same message and exit code, no traceback
         for i, payload in enumerate([
             {"experiment": "exp3", "n": "abc"},
@@ -97,6 +101,7 @@ class TestRun:
             {"experiment": "exp3", "mu": 0.0},
             {"experiment": "exp3", "k_values": []},
             {"experiment": "exp3", "k_values": [2, 0]},
+            duplicate_k,
             # keys the experiment never reads
             {"experiment": "exp2", "n": 3},
             {"experiment": "exp2", "target": 0.5},
@@ -109,6 +114,8 @@ class TestRun:
                 result = CliRunner().invoke(main, [command, "--config", cfg])
                 assert result.exit_code == 1, (command, payload)
                 assert "error:" in result.output, (command, payload)
+        cfg = write_config(tmp_path, duplicate_k, name="duplicate-k.json")
+        assert "distinct" in CliRunner().invoke(main, ["run", "--config", cfg]).output
 
 
 class TestRates:

@@ -89,14 +89,6 @@ class TestCompress:
         # 4 sigma for a Bernoulli(1/2) mean over 1e5 draws is about 0.0063
         assert np.abs(freq - 0.5).max() <= 0.01
 
-    def test_payload_accounting(self):
-        v = np.zeros(8)
-        msg = compress(v, 3, generator(2))
-        assert msg.payload_reals() == 3
-        assert msg.index_bits(8) == 3 * 3
-        assert msg.index_bits(1) == 0
-        assert CompressedMessage(np.array([0]), np.array([1.0])).index_bits(5) == 3
-
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
             compress(np.zeros(4), 0, generator(0))

@@ -15,10 +15,8 @@ from multiprox.rates import (
     rho_n1_simple_g,
     rho_similarity,
     rho_theorem1,
-    similarity_plan,
     similarity_terms,
     single_component_terms,
-    stepsize_plans,
     theorem_terms,
     uniform_minibatch_plan,
 )
@@ -305,7 +303,7 @@ def test_finite_branch_converges_to_infinite_branch():
 def similarity_inputs(gamma, p_s, delta, mu_h, L, mu_f=0.0, L_f=0.0, n=4):
     return RateInputs(
         gamma=gamma, p=np.full(n, p_s), eta=np.ones(n), L_h=(L,) * n,
-        mu_h=np.full(n, mu_h), L_f=L_f, mu_f=mu_f, delta=delta, p_s=p_s,
+        mu_h=np.full(n, mu_h), L_f=L_f, mu_f=mu_f, delta=delta,
     )
 
 
@@ -378,19 +376,11 @@ def test_uniform_minibatch_plan_caps_at_smooth_stepsize():
     assert plan.gamma == pytest.approx(0.1)
 
 
-def test_similarity_plan_sentinel_when_unconstrained():
-    plan = similarity_plan(L_f=0.0, L_h=INFINITE, mu_f=0.0, mu_h=1.0,
-                           delta=0.0, p_s=0.5)
+def test_uniform_minibatch_plan_sentinel_when_unconstrained():
+    plan = uniform_minibatch_plan(n=4, s=2, L_f=0.0, max_L_h=0.0, mu_total=1.0)
     assert plan.gamma is VERY_LARGE_GAMMA
     assert plan.complexity == pytest.approx(2.0)
     assert repr(VERY_LARGE_GAMMA) == "VERY_LARGE_GAMMA"
-
-
-def test_similarity_plan_uses_smaller_of_both_scales():
-    plan = similarity_plan(L_f=2.0, L_h=8.0, mu_f=0.5, mu_h=0.5,
-                           delta=1.0, p_s=0.25)
-    denom = min(1.0, np.sqrt(8.0 * 1.0))
-    assert plan.gamma == pytest.approx(min(0.5, np.sqrt(0.25) / denom))
 
 
 def test_fed_plan_full_coverage_matches_uniform_plan():
@@ -410,18 +400,6 @@ def test_fed_plan_extras_account_communication():
     )
 
 
-def test_stepsize_plans_dispatcher():
-    ri = RateInputs(
-        gamma=0.1, p=np.full(4, 0.5), eta=np.full(4, 0.5), L_h=(6.0,) * 4,
-        mu_h=np.full(4, 0.5), delta=1.5, s=2, k=3, d=6,
-    )
-    plans = stepsize_plans(ri)
-    assert {"uniform_minibatch", "similarity", "federated"} <= set(plans)
-    no_plan = RateInputs(gamma=0.1, p=[0.5], eta=[1.0], L_h=(INFINITE,), mu_h=[0.0])
-    with pytest.raises(HypothesisViolation, match="no stepsize plan"):
-        stepsize_plans(no_plan)
-
-
 def test_plan_hypothesis_failures():
     with pytest.raises(HypothesisViolation):
         uniform_minibatch_plan(n=4, s=2, L_f=0.0, max_L_h=8.0, mu_total=0.0)
@@ -431,5 +409,3 @@ def test_plan_hypothesis_failures():
         fed_plan(n=4, d=10, k=0, s=3, L_h=5.0, mu_h=1.0)
     with pytest.raises(HypothesisViolation):
         fed_plan(n=4, d=10, k=2, s=3, L_h=5.0, mu_h=0.0)
-    with pytest.raises(HypothesisViolation):
-        similarity_plan(L_f=0.0, L_h=5.0, mu_f=0.0, mu_h=0.0, delta=1.0, p_s=0.5)

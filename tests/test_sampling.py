@@ -1,11 +1,11 @@
-"""Subset laws: exact enumeration, closed forms, Monte Carlo, round-trips."""
+"""Subset laws: exact enumeration, closed forms, exchangeable shortcuts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiprox.errors import ConfigurationError, DegenerateSample, UnsupportedExact
+from multiprox.errors import ConfigurationError, UnsupportedExact
 from multiprox.rng import generator
 from multiprox.sampling import (
     ExplicitSupport,
@@ -15,9 +15,8 @@ from multiprox.sampling import (
     SingletonWeighted,
     ThinnedView,
     UniformMinibatch,
+    _tilde_from_support,
     compressed_view,
-    estimate_tilde_probs_mc,
-    law_from_config,
 )
 
 SMALL_LAWS = [
@@ -213,42 +212,16 @@ def test_compressed_view_cases():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimation
+# Enumeration limit and exchangeable shortcut
 
 
-def test_mc_estimate_within_four_stderr():
-    dist = IndependentParticipation([0.3, 0.9, 0.5, 0.7])
-    est = estimate_tilde_probs_mc(dist, generator(8), 100_000)
-    exact = dist.tilde_probs()
-    assert est.draws_used <= est.draws_total
-    assert np.all(est.stderr > 0)
-    np.testing.assert_array_less(np.abs(est.tilde - exact), 4 * est.stderr)
-
-
-def test_mc_estimate_degenerate_when_always_empty():
-    dist = ExplicitSupport(2, [((), 0.999), ((0, 1), 0.001)])
-    with pytest.raises(DegenerateSample):
-        # with this seed and 3 draws the nonempty subset never shows up
-        estimate_tilde_probs_mc(dist, generator(0), 3)
-
-
-def test_mc_single_draw_has_nan_stderr():
-    dist = FullBatch(3)
-    est = estimate_tilde_probs_mc(dist, generator(0), 1)
-    assert est.draws_used == 1
-    assert np.all(np.isnan(est.stderr))
-    np.testing.assert_allclose(est.tilde, np.full(3, 1 / 3))
-
-
-def test_enumeration_cap_raises_but_mc_still_works():
+def test_enumeration_cap_raises():
     r = np.linspace(0.2, 0.9, 30)
     dist = IndependentParticipation(r)
     with pytest.raises(UnsupportedExact):
         dist.enumerate_support()
     with pytest.raises(UnsupportedExact):
         dist.tilde_probs()
-    est = estimate_tilde_probs_mc(dist, generator(2), 2000)
-    assert est.tilde.shape == (30,)
 
 
 def test_exchangeable_shortcut_beats_enumeration_cap():
@@ -257,6 +230,18 @@ def test_exchangeable_shortcut_beats_enumeration_cap():
     np.testing.assert_allclose(dist.tilde_probs(), np.full(40, 1 / 40), atol=1e-15)
     ind = IndependentParticipation(np.full(30, 0.4))
     np.testing.assert_allclose(ind.tilde_probs(), np.full(30, 1 / 30), atol=1e-15)
+
+
+@pytest.mark.parametrize("dist", [
+    IndependentParticipation([0.5, 0.500004, 0.5]),
+    # q itself is the closed form, so the shortcut shows through a thinning
+    ThinnedView(SingletonWeighted([1 / 3, 1 / 3 + 2e-6, 1 / 3 - 2e-6]), 0.5),
+], ids=lambda d: d.law)
+def test_near_uniform_laws_skip_the_exchangeable_shortcut(dist):
+    # a relative tolerance would call weights some 1e-6 apart identical
+    exact = _tilde_from_support(dist.n, dist.enumerate_support())
+    assert not np.allclose(exact, 1 / dist.n, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(dist.tilde_probs(), exact, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +285,6 @@ def test_law_constructor_validation():
         IndependentParticipation([0.5, 1.2])
     with pytest.raises(ConfigurationError):
         ThinnedView(FullBatch(2), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Config round-trip and CSV export
-
-
-@pytest.mark.parametrize("dist", SMALL_LAWS, ids=lambda d: d.law + str(d.n))
-def test_config_round_trip_preserves_law_and_stream(dist):
-    clone = law_from_config(dist.to_config())
-    assert type(clone) is type(dist)
-    a = [dist.sample(generator(33)) for _ in range(15)]
-    b = [clone.sample(generator(33)) for _ in range(15)]
-    assert a == b
-    np.testing.assert_allclose(clone.tilde_probs(), dist.tilde_probs(), atol=1e-15)
-
-
-def test_law_from_config_rejects_unknown():
-    with pytest.raises(ConfigurationError):
-        law_from_config({"law": "martingale"})
 
 
 # ---------------------------------------------------------------------------
