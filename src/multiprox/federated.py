@@ -16,18 +16,23 @@ rate inputs are those of the effective law from
 
 Stream discipline: subsets come from one generator, client masks from one
 generator per client, and the server's per-coordinate coins from a server
-generator in increasing coordinate order.
+generator in increasing coordinate order. No generator serves two lanes, so
+a run may draw a block of rounds ahead: :class:`FedRng` draws the block's
+subsets in round order and then each participant's masks for the whole
+block in one call, and every generator stands where drawing those rounds
+one at a time would leave it.
 
 A round works on all participants at once: the proxes come from one
 :meth:`~multiprox.problems.ProblemInstance.prox_rows` call, which solves
-them in one batched call for the generated quadratic families, and the
-duals and server sums move with one scatter each, adding in member order
-as a per-client loop would. Only the masks are drawn client by client.
+them in one batched call for the generated quadratic families, the kept
+values come from one gather, and the duals and server sums move with one
+scatter each, adding in member order as a per-client loop would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,55 +62,120 @@ from .solver import (
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class CompressedMessage:
-    """Exactly the k surviving values of one client's correction, nothing else."""
+# Rounds drawn ahead at a time by fed_run; the last block takes what is left.
+BLOCK_ROUNDS = 128
 
-    indices: Array
-    values: Array
+# Past this many kept coordinates, or with fewer than two masks per kept
+# coordinate, one Generator.choice call per mask is cheaper than the replay.
+# It must stay at most 200, which keeps every replayed mask where
+# Generator.choice runs Floyd's algorithm (d <= 10_000 or k <= d // 50);
+# elsewhere choice shuffles a tail of arange(d) instead.
+_REPLAY_MAX_K = 64
 
 
 @dataclass
 class CommLedger:
-    """Cumulative communication counts, in float64 reals.
+    """Cumulative uplink communication counts, in float64 reals.
 
     ``uplink_parallel_reals`` counts one client's worth per round (clients
     transmit simultaneously); ``uplink_total_reals`` counts every client.
-    Downlink (the broadcast point) is tracked separately and excluded from
-    headline numbers. All counters are nondecreasing.
+    Both counters are nondecreasing.
     """
 
     rounds: int = 0
     uplink_parallel_reals: int = 0
     uplink_total_reals: int = 0
-    downlink_total_reals: int = 0
 
 
 @dataclass
 class FedRng:
-    """The generator bundle for one federated run; see the module docstring."""
+    """The generator bundle for one federated run, and the rounds drawn ahead.
+
+    ``omega`` draws each round's subset, ``clients[i]`` client i's masks and
+    ``server`` the coins; see the module docstring. :meth:`draw_ahead` draws
+    a block of rounds at once and :meth:`next_round` hands them out in order,
+    each client's masks kept in one array that a per-client cursor walks.
+    """
 
     omega: np.random.Generator
     server: np.random.Generator
     clients: list[np.random.Generator]
+    _subsets: deque = field(default_factory=deque, init=False, repr=False)
+    _masks: Array | None = field(default=None, init=False, repr=False)
+    _cursor: Array | None = field(default=None, init=False, repr=False)
+    _drawn_for: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_seed(cls, seed: SeedLike, n: int) -> "FedRng":
         omega, server, *clients = spawn(seed, n + 2)
         return cls(omega=omega, server=server, clients=clients)
 
+    def draw_ahead(self, dist: SamplingDistribution, k: int, d: int, rounds: int) -> None:
+        """With no round ahead, draw the next ``rounds`` subsets, then each
+        participant's masks for all of them in one :func:`compress` call."""
+        if self._subsets:
+            return
+        subsets = [np.array(dist.sample(self.omega), dtype=np.intp) for _ in range(rounds)]
+        uses = np.bincount(np.concatenate(subsets), minlength=len(self.clients))
+        starts = np.cumsum(uses) - uses
+        masks = np.empty((int(uses.sum()), k), dtype=np.int64)
+        for i in np.flatnonzero(uses).tolist():
+            masks[starts[i]:starts[i] + uses[i]] = compress(self.clients[i], d, k, int(uses[i]))
+        self._subsets.extend(subsets)
+        self._masks, self._cursor, self._drawn_for = masks, starts, (dist, k, d)
 
-def compress(v: Array, k: int, rng: np.random.Generator) -> CompressedMessage:
-    """Unscaled rand-k: keep k uniformly random coordinates of v as they are."""
-    d = v.size
+    def next_round(self, dist: SamplingDistribution, k: int, d: int) -> tuple[Array, Array]:
+        """The next round's members and their (members, k) masks in member order.
+
+        With no round ahead, a block of one round is drawn first.
+        """
+        self.draw_ahead(dist, k, d, 1)
+        if self._drawn_for != (dist, k, d):
+            raise ConfigurationError("the rounds drawn ahead belong to another law, k or d")
+        members = self._subsets.popleft()
+        rows = self._cursor[members]
+        self._cursor[members] += 1
+        return members, self._masks[rows]
+
+
+def compress(rng: np.random.Generator, d: int, k: int, count: int) -> Array:
+    """``count`` unscaled rand-k masks of client stream ``rng``, as (count, k) sorted rows.
+
+    Rows and the stream's final state equal those of ``count`` successive
+    ``np.sort(rng.choice(d, size=k, replace=False))`` calls.
+    """
     if not 1 <= k <= d:
         raise ConfigurationError(f"need 1 <= k <= d, got k={k}, d={d}")
-    kept = np.sort(rng.choice(d, size=k, replace=False))
-    return CompressedMessage(indices=kept, values=v[kept])
+    if k <= _REPLAY_MAX_K and 2 * k <= count:
+        return _floyd_masks(rng, d, k, count)
+    masks = np.empty((count, k), dtype=np.int64)
+    for row in masks:
+        row[:] = np.sort(rng.choice(d, size=k, replace=False))
+    return masks
+
+
+def _floyd_masks(rng: np.random.Generator, d: int, k: int, count: int) -> Array:
+    """Replay ``count`` calls of Floyd's sampling as Generator.choice runs it.
+
+    Per mask, choice draws Floyd's k values with inclusive bounds d-k ... d-1,
+    then the k-1 of its shuffle with bounds k-1 ... 1; a zero bound draws
+    nothing. One ``integers`` call with those bounds makes exactly the same
+    draws, and sorting the rows makes the shuffle's outcome irrelevant.
+    """
+    bounds = np.arange(d - k, d)
+    highs = np.concatenate((bounds, np.arange(k - 1, 0, -1))) + 1
+    draws = rng.integers(0, np.tile(highs, count)).reshape(count, 2 * k - 1)
+    # Floyd keeps a draw unless it is already in the set, and then takes the
+    # column's bound instead; columns go one by one, each across every mask
+    kept = draws[:, :k].T.copy()
+    for t in range(1, k):
+        kept[t, (kept[:t] == kept[t]).any(axis=0)] = bounds[t]
+    return np.sort(kept.T, axis=1)
 
 
 def rescale(
-    messages: list[CompressedMessage],
+    cols: Array,
+    values: Array,
     x_hat: Array,
     x_prev: Array,
     p_hat: float,
@@ -113,17 +183,16 @@ def rescale(
 ) -> Array:
     """Per-coordinate server reconstruction of the next point.
 
-    A coordinate covered by m > 0 messages takes the forward-backward value
-    plus the mean of the m received corrections. Uncovered coordinates flip
-    the acceptance coin, one uniform per coordinate in increasing order.
+    ``values[j]`` is a received correction at coordinate ``cols[j]``. A
+    coordinate covered by m > 0 of them takes the forward-backward value
+    plus their mean. Uncovered coordinates flip the acceptance coin, one
+    uniform per coordinate in increasing order.
     """
     d = x_hat.size
     sums = counts = np.zeros(d)
-    if messages:
+    if cols.size:
         # bincount adds in message order, as a loop of scatter-adds would
-        cols = np.concatenate([msg.indices for msg in messages])
-        sums = np.bincount(cols, weights=np.concatenate([msg.values for msg in messages]),
-                           minlength=d)
+        sums = np.bincount(cols, weights=values, minlength=d)
         counts = np.bincount(cols, minlength=d)
     covered = counts > 0
     x_next = np.empty(d)
@@ -227,6 +296,13 @@ def derive_fed_params(
 # The round
 
 
+def _check_clients(rngs: FedRng, instance: ProblemInstance) -> None:
+    if len(rngs.clients) != instance.n:
+        raise ConfigurationError(
+            f"need one client generator per component: got {len(rngs.clients)} "
+            f"for n={instance.n}")
+
+
 def fed_step(
     state: SolverState,
     instance: ProblemInstance,
@@ -235,39 +311,40 @@ def fed_step(
     rngs: FedRng,
     ledger: CommLedger,
 ) -> None:
-    """One federated round, in place, with communication accounting."""
+    """One federated round, in place, with communication accounting.
+
+    The round's subset and masks are the next ones ``rngs`` has drawn ahead;
+    with none ahead, it draws a block of this one round.
+    """
+    _check_clients(rngs, instance)
     params = fed.solver
     gamma = gamma_at(params.schedule, state.t)
     x = state.x
     xhat = _forward(instance, gamma, x, state.u_bar)
-    members = np.array(dist.sample(rngs.omega), dtype=np.intp)
-    messages: list[CompressedMessage] = []
+    members, masks = rngs.next_round(dist, fed.k, instance.d)
+    cols = masks.ravel()
+    values = np.zeros(0)
     scaled_sum = np.zeros(instance.d)
     if members.size:
         eta = params.eta[members]
         ge = gamma * eta
         y = instance.prox_rows(members, ge, xhat + ge[:, None] * state.u[members])
-        # compress owns each client's stream, so it runs once per client
-        messages = [compress(v, fed.k, rngs.clients[i])
-                    for i, v in zip(members.tolist(), y - xhat)]
-        rows = np.repeat(members, fed.k)
-        cols = np.concatenate([msg.indices for msg in messages])
-        values = np.concatenate([msg.values for msg in messages])
+        # every participant's kept coordinates, unscaled, in member order
+        values = y[np.arange(members.size)[:, None], masks].ravel() - xhat[cols]
         # Only the coordinates that survived compression move; the rest of
         # each dual vector stays, so u_i generally leaves the subgradient set.
-        state.u[rows, cols] -= values / np.repeat(ge, fed.k)
+        state.u[np.repeat(members, fed.k), cols] -= values / np.repeat(ge, fed.k)
         state.moved.update(members.tolist())
         # bincount adds in member order, as a loop of scatter-adds would
         scaled_sum = np.bincount(cols, weights=values / np.repeat(eta, fed.k),
                                  minlength=instance.d)
-    state.x = rescale(messages, xhat, x, params.p_hat, rngs.server)
+    state.x = rescale(cols, values, xhat, x, params.p_hat, rngs.server)
     state.u_bar = state.u_bar - scaled_sum / (instance.n * gamma)
     state.t += 1
     ledger.rounds += 1
     if members.size:
         ledger.uplink_parallel_reals += fed.k
-        ledger.uplink_total_reals += fed.k * len(messages)
-        ledger.downlink_total_reals += instance.d * len(messages)
+        ledger.uplink_total_reals += cols.size
     _check_trust_region(state)
 
 
@@ -290,6 +367,7 @@ def fed_run(
     """
     if not isinstance(rngs, FedRng):
         rngs = FedRng.from_seed(rngs, instance.n)
+    _check_clients(rngs, instance)
     state = initial_state(instance, x0=x0)
     ledger = CommLedger()
     spec = None
@@ -307,5 +385,10 @@ def fed_run(
             (ledger.uplink_parallel_reals, ledger.uplink_total_reals),
         )
 
-    _drive(state, T, lambda: fed_step(state, instance, fed, dist, rngs, ledger), emit, cadence)
+    def advance():
+        # blocks end at T, so every generator ends where per-round draws leave it
+        rngs.draw_ahead(dist, fed.k, instance.d, min(BLOCK_ROUNDS, T - state.t))
+        fed_step(state, instance, fed, dist, rngs, ledger)
+
+    _drive(state, T, advance, emit, cadence)
     return state, state.u, ledger

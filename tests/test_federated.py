@@ -45,7 +45,7 @@ from multiprox import (
     step,
     zero_prox,
 )
-from multiprox.federated import CompressedMessage
+from multiprox.federated import BLOCK_ROUNDS, _floyd_masks
 from multiprox.rates import fed_plan, rho_theorem1, RateInputs
 from multiprox.sampling import compressed_view
 from multiprox.solver import LINEAR_SMOOTH
@@ -67,60 +67,86 @@ def small_exact_instance(seed=3, n=4, d=4, mu=1.0, l_max=3.0):
 # Compression
 
 
+def choice_masks(rng, d, k, count):
+    """The reference: one sorted Generator.choice call per mask."""
+    return np.array([np.sort(rng.choice(d, size=k, replace=False))
+                     for _ in range(count)]).reshape(count, k)
+
+
+def _replay_cases():
+    for d in [*range(1, 65), 100, 127, 1000, 4097, 9999, 10_000]:
+        for k in sorted({1, 2, d // 2, d} & set(range(1, d + 1))):
+            yield d, k
+    # huge ranges, where Lemire rejections redraw values
+    yield 2**31 + 12_345, 3
+    yield 10**6, 7
+
+
 class TestCompress:
-    def test_message_holds_exactly_the_surviving_values(self):
-        v = np.array([10.0, 20.0, 30.0, 40.0])
-        msg = compress(v, 2, generator(0))
-        assert msg.indices.size == 2
-        assert np.array_equal(msg.indices, np.sort(msg.indices))
-        assert np.unique(msg.indices).size == 2
-        # unscaled: the kept values ship as they are, no 1/probability factor
-        assert np.array_equal(msg.values, v[msg.indices])
+    def test_masks_are_sorted_unique_rows_of_size_k(self):
+        masks = compress(generator(0), 4, 2, 50)
+        assert masks.shape == (50, 2)
+        # strictly increasing rows: sorted, and no coordinate twice
+        assert np.all(masks[:, 1:] > masks[:, :-1])
+        assert masks.min() >= 0 and masks.max() < 4
 
     def test_each_coordinate_kept_with_ratio_k_over_d(self):
-        rng = generator(1)
         draws = 100_000
-        counts = np.zeros(4)
-        v = np.arange(4.0)
-        for _ in range(draws):
-            msg = compress(v, 2, rng)
-            counts[msg.indices] += 1.0
-        freq = counts / draws
+        masks = compress(generator(1), 4, 2, draws)
+        freq = np.bincount(masks.ravel(), minlength=4) / draws
         # 4 sigma for a Bernoulli(1/2) mean over 1e5 draws is about 0.0063
         assert np.abs(freq - 0.5).max() <= 0.01
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
-            compress(np.zeros(4), 0, generator(0))
+            compress(generator(0), 4, 0, 1)
         with pytest.raises(ConfigurationError):
-            compress(np.zeros(4), 5, generator(0))
+            compress(generator(0), 4, 5, 1)
+
+    @pytest.mark.parametrize("masks", [compress, _floyd_masks])
+    def test_masks_and_stream_equal_successive_choice_calls(self, masks):
+        # the replay is checked alone too, since compress takes it only for
+        # small k and enough masks; at d = 20 000, k = 1 000 choice shuffles a
+        # tail instead, which only compress, through choice itself, handles
+        cases = list(_replay_cases())
+        if masks is compress:
+            cases.append((20_000, 1_000))
+        for d, k in cases:
+            for count in {1, 3, 2 * k + 1} if k <= 64 else {1, 3}:
+                ours, ref = generator(d + k), generator(d + k)
+                # start from a generator that holds a buffered half-word
+                ours.integers(2)
+                ref.integers(2)
+                got = masks(ours, d, k, count)
+                assert np.array_equal(got, choice_masks(ref, d, k, count)), (d, k, count)
+                assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 class TestRescale:
     def test_covered_and_open_coordinates(self):
         x_hat = np.array([1.0, 2.0, 3.0])
         x_prev = np.array([-1.0, -2.0, -3.0])
-        messages = [
-            CompressedMessage(np.array([0, 1]), np.array([0.5, 4.0])),
-            CompressedMessage(np.array([1]), np.array([6.0])),
-        ]
-        keep = rescale(messages, x_hat, x_prev, 1.0, generator(0))
+        cols = np.array([0, 1, 1])
+        values = np.array([0.5, 4.0, 6.0])
+        keep = rescale(cols, values, x_hat, x_prev, 1.0, generator(0))
         assert abs(keep[0] - 1.5) <= 1e-15
         assert abs(keep[1] - (2.0 + 5.0)) <= 1e-15
         assert keep[2] == 3.0
-        drop = rescale(messages, x_hat, x_prev, 0.0, generator(0))
+        drop = rescale(cols, values, x_hat, x_prev, 0.0, generator(0))
         assert drop[2] == -3.0
 
     def test_no_messages_with_certain_acceptance_gives_forward_point(self):
         x_hat = np.array([1.0, 2.0])
-        out = rescale([], x_hat, np.zeros(2), 1.0, generator(0))
+        out = rescale(np.zeros(0, dtype=np.intp), np.zeros(0), x_hat, np.zeros(2), 1.0,
+                      generator(0))
         assert np.array_equal(out, x_hat)
 
     def test_open_coins_drawn_in_one_block_of_increasing_coordinates(self):
         x_hat = np.ones(5)
         x_prev = np.zeros(5)
         seed = 9
-        out = rescale([], x_hat, x_prev, 0.5, generator(seed))
+        out = rescale(np.zeros(0, dtype=np.intp), np.zeros(0), x_hat, x_prev, 0.5,
+                      generator(seed))
         coins = generator(seed).random(5)
         assert np.array_equal(out, np.where(coins < 0.5, x_hat, x_prev))
 
@@ -275,6 +301,45 @@ class TestFedStep:
             changed = np.flatnonzero(np.abs(server.u[i] - before[i]) > 0)
             assert np.array_equal(changed, kept)
 
+    def test_kept_coordinates_move_by_the_unscaled_correction(self):
+        inst = small_exact_instance(n=2, d=4, mu=1.0, l_max=3.0)
+        dist = FullBatch(2)
+        fed = derive_fed_params(inst, dist, 2, gamma=0.1)
+        rng = generator(43)
+        x, u = rng.standard_normal(4), rng.standard_normal((2, 4))
+        server = SolverState(t=0, x=x.copy(), u=u.copy(), u_bar=u.mean(axis=0))
+        fed_step(server, inst, fed, dist, fed_rngs(0, 1, [52, 53]), CommLedger())
+        gamma = fed.gamma
+        xhat = inst.g.prox(gamma, x - gamma * (inst.f.grad(x) + u.mean(axis=0)))
+        for i, seed in enumerate((52, 53)):
+            ge = gamma * float(fed.solver.eta[i])
+            y = inst.h[i].prox(ge, xhat + ge * u[i])
+            kept = np.sort(generator(seed).choice(4, size=2, replace=False))
+            # the kept values ship as they are, no 1/probability factor
+            expected = u[i].copy()
+            expected[kept] -= (y[kept] - xhat[kept]) / ge
+            assert np.array_equal(server.u[i], expected)
+
+    def test_client_generators_must_match_the_components(self):
+        inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
+        dist = UniformMinibatch(4, 2)
+        fed = derive_fed_params(inst, dist, 2)
+        for clients in ([2, 3], range(2, 9)):
+            with pytest.raises(ConfigurationError):
+                fed_run(inst, fed, dist, fed_rngs(0, 1, clients), 5)
+            with pytest.raises(ConfigurationError):
+                fed_step(initial_state(inst), inst, fed, dist, fed_rngs(0, 1, clients),
+                         CommLedger())
+
+    def test_rounds_drawn_for_another_k_are_refused(self):
+        inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
+        dist = UniformMinibatch(4, 2)
+        fed = derive_fed_params(inst, dist, 2)
+        rngs = FedRng.from_seed(3, 4)
+        rngs.draw_ahead(dist, 1, 4, 3)
+        with pytest.raises(ConfigurationError):
+            fed_step(initial_state(inst), inst, fed, dist, rngs, CommLedger())
+
     def test_ledger_counts_every_participant(self):
         inst = small_exact_instance(n=4, d=5, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(4, 2)
@@ -283,7 +348,6 @@ class TestFedStep:
         assert ledger.rounds == 30
         assert ledger.uplink_parallel_reals == 30 * 2
         assert ledger.uplink_total_reals == 30 * 2 * 2
-        assert ledger.downlink_total_reals == 30 * 5 * 2
 
     def test_ledger_skips_empty_rounds(self):
         inst = small_exact_instance(n=2, d=4, mu=1.0, l_max=3.0)
@@ -305,7 +369,6 @@ class TestFedStep:
         assert ledger.rounds == T
         assert ledger.uplink_parallel_reals == 2 * active_rounds
         assert ledger.uplink_total_reals == 2 * participants
-        assert ledger.downlink_total_reals == 4 * participants
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -521,6 +584,37 @@ class TestFedRun:
                 # some rounds drew nobody: the uplink count stood still
                 comm = [row[3] for row in rows]
                 assert any(a == b for a, b in zip(comm, comm[1:]))
+
+    @pytest.mark.parametrize("law", ["full_batch", "minibatch", "independent"])
+    def test_blocks_drawn_ahead_equal_standalone_rounds(self, law):
+        n, d = 7, 6
+        inst = generate_instance("exp3", 11, n=n, d=d, mu=1.0, l_max=20.0)
+        dist, gamma = {
+            "full_batch": (FullBatch(n), None),
+            "minibatch": (UniformMinibatch(n, 3), None),
+            "independent": (IndependentParticipation(np.linspace(0.05, 0.5, n)), 0.02),
+        }[law]
+        x0 = np.full(d, 3.0)
+        for k in (1, 3, d):
+            fed = derive_fed_params(inst, dist, k, gamma=gamma)
+            for T in (0, 1, BLOCK_ROUNDS + 3):
+                rngs = FedRng.from_seed(17, n)
+                state, _, ledger = fed_run(inst, fed, dist, rngs, T, x0=x0)
+                solo_rngs = FedRng.from_seed(17, n)
+                solo = initial_state(inst, x0=x0)
+                solo_ledger = CommLedger()
+                for _ in range(T):
+                    fed_step(solo, inst, fed, dist, solo_rngs, solo_ledger)
+                assert state.t == solo.t == T
+                for name in ("x", "u", "u_bar"):
+                    assert np.array_equal(getattr(state, name), getattr(solo, name))
+                assert vars(ledger) == vars(solo_ledger)
+                for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
+                                [solo_rngs.omega, solo_rngs.server, *solo_rngs.clients]):
+                    assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
+                if law == "independent" and T > 1:
+                    # some rounds drew nobody
+                    assert ledger.uplink_parallel_reals < k * T
 
     def test_divergence_reports_the_round(self):
         inst = ProblemInstance(
