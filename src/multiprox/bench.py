@@ -83,14 +83,8 @@ def default_cadence(t: int) -> bool:
 # Configuration
 
 
-# exp2 runs over n = d components and only exp1 stops early at a target,
-# so ``n`` and ``target`` are keys of the experiments that read them.
+# An experiment accepts these keys and those of its ``_DEFAULTS`` row.
 _COMMON_KEYS = {"experiment", "scale", "seed", "replicates", "iterations", "out", "d"}
-_EXTRA_KEYS = {
-    "exp1": {"n", "alpha", "l_max", "target"},
-    "exp2": {"mu", "a_offset", "grid"},
-    "exp3": {"n", "mu", "l_max", "k_values"},
-}
 
 
 _INT_KEYS = ("seed", "replicates", "iterations", "n", "d")
@@ -148,6 +142,8 @@ class RunConfig:
                 if (v is not None or name == "seed") and not check(v):
                     raise ConfigurationError(f"{name} must be {what}, got {v!r}")
         for names, ok, what in (
+            # numpy refuses a negative seed without naming the key
+            (("seed",), lambda v: v >= 0, "nonnegative"),
             (("replicates", "iterations", "n", "d"), lambda v: v >= 1, "at least 1"),
             (("target", "l_max", "mu"), lambda v: v > 0, "positive"),
             (("alpha",), lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -161,14 +157,6 @@ class RunConfig:
                 if v is not None and not ok(v):
                     raise ConfigurationError(f"{name} must be {what}, got {v!r}")
 
-    def to_dict(self) -> dict:
-        out = {}
-        for key in sorted(self.__dataclass_fields__):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if "experiment" not in raw:
@@ -176,7 +164,7 @@ class RunConfig:
         exp = raw["experiment"]
         if exp not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {exp!r}")
-        allowed = _COMMON_KEYS | _EXTRA_KEYS[exp]
+        allowed = _COMMON_KEYS | set(_DEFAULTS[exp])
         unknown = set(raw) - allowed
         if unknown:
             raise ConfigurationError(
@@ -216,7 +204,9 @@ def preset(name: str) -> RunConfig:
 
 
 # Every unset field resolves from its experiment's row; ``--scale paper``
-# changes the exp2 defaults only.
+# changes the exp2 defaults only. exp2 runs over n = d components and only
+# exp1 stops early at a target, so ``n`` and ``target`` are in the rows of
+# the experiments that read them.
 _DEFAULTS = {
     "exp1": dict(n=100, d=100, alpha=0.05, l_max=1000.0, replicates=20,
                  iterations=200_000, target=1e-6),
@@ -337,12 +327,8 @@ def aggregate_replicates(rows: list[TraceRow]) -> list[AggregateRow]:
     ) for g, (t_g, size) in enumerate(zip(times.tolist(), sizes.tolist()))]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{float(value):.17g}"
 
 
 def emit_csv(rows: list[TraceRow], path) -> None:
@@ -714,7 +700,7 @@ def rate_summaries(cfg: RunConfig) -> dict[str, dict | str]:
     if cfg.experiment == "exp1":
         instance, arms = exp1_arms(cfg)
         for name, (dist, params) in arms.items():
-            out[name] = rate_report("theorem", rate_inputs_from(instance, dist, params))
+            out[name] = rate_report(rate_inputs_from(instance, dist, params))
     elif cfg.experiment == "exp2":
         # the checks `run` makes of the adaptive arm, so both refuse alike
         instance = instance_for(cfg)

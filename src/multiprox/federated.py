@@ -238,8 +238,6 @@ def derive_fed_params(
     takes the generic path through the effective law and needs an explicit
     ``gamma``.
     """
-    if not 1 <= k <= instance.d:
-        raise ConfigurationError(f"need 1 <= k <= d, got k={k}, d={instance.d}")
     effective = compressed_view(dist, k, instance.d)
     exact = (
         instance.f.L == 0.0
@@ -257,7 +255,7 @@ def derive_fed_params(
         mu = float(instance.mu_h[0])
         plan = fed_plan(instance.n, instance.d, k, dist.s, L, mu, gamma=gamma)
         gamma, complexity = plan.gamma, plan.complexity
-        p_check = plan.extras["p_check_empty"]
+        p_check = effective.empty_prob()
         active = 1.0 - p_check
         mu_hat = 2.0 * mu * L / (active * (L + mu))
         params = SolverParams(

@@ -31,18 +31,11 @@ _OPT_RESIDUAL_TOL = 1e-8
 class _Infinite:
     """Symbolic 'no finite smoothness constant'. Compares equal only to itself."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "INFINITE"
 
     def __reduce__(self):
-        return (_Infinite, ())
+        return "INFINITE"
 
 
 INFINITE = _Infinite()
@@ -209,7 +202,7 @@ def quadratic_prox(form: QuadraticForm, gamma: float, v: Array) -> Array:
 
 
 def hyperplane_ridge_prox(w: Array, offset: float, mu: float, gamma: float, v: Array,
-                          *, wnorm2: float | None = None) -> Array:
+                          *, wnorm2: float) -> Array:
     """Prox of the indicator of {x : w'x = offset} plus (mu/2)||x||^2.
 
     Shrink toward the origin, then project the shrunk point back onto the
@@ -217,10 +210,6 @@ def hyperplane_ridge_prox(w: Array, offset: float, mu: float, gamma: float, v: A
     """
     if gamma <= 0:
         raise ConfigurationError(f"prox needs gamma > 0, got {gamma}")
-    if wnorm2 is None:
-        wnorm2 = float(w @ w)
-        if wnorm2 == 0.0:
-            raise ConfigurationError("hyperplane normal is zero")
     c = 1.0 + gamma * mu
     return v / c - (float(w @ v) - offset * c) * w / (c * wnorm2)
 

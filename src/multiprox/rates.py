@@ -13,7 +13,7 @@ consumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +28,10 @@ _TOL = 1e-9
 class _VeryLargeGamma:
     """Sentinel for 'any sufficiently large stepsize works' prescriptions."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
+        return "VERY_LARGE_GAMMA"
+
+    def __reduce__(self):
         return "VERY_LARGE_GAMMA"
 
 
@@ -273,21 +269,12 @@ def rho_similarity(ri: RateInputs) -> float:
     return _factor(similarity_terms(ri))
 
 
-_TERM_FUNCS = {
-    "theorem": theorem_terms,
-    "single": single_component_terms,
-    "similarity": similarity_terms,
-}
-
-
-def rate_report(kind: str, ri: RateInputs) -> dict:
-    """Factor plus per-term breakdown, for display."""
-    if kind not in _TERM_FUNCS:
-        raise HypothesisViolation(f"unknown rate kind {kind!r}")
-    distance, dual = _TERM_FUNCS[kind](ri)
+def rate_report(ri: RateInputs) -> dict:
+    """The general linear-rate factor plus its per-term breakdown, for display."""
+    distance, dual = theorem_terms(ri)
     rho = _factor((distance, dual))
     return {
-        "kind": kind,
+        "kind": "theorem",
         "rho": rho,
         "terms": {"distance": distance, "dual": dual},
         "binding": "distance" if distance >= dual else "dual",
@@ -300,11 +287,10 @@ def rate_report(kind: str, ri: RateInputs) -> dict:
 
 @dataclass(frozen=True)
 class StepsizePlan:
-    """A prescribed stepsize and the complexity factor it certifies."""
+    """A prescribed stepsize and the iteration complexity it certifies."""
 
     gamma: float | _VeryLargeGamma
     complexity: float
-    extras: dict = field(default_factory=dict)
 
 
 def uniform_minibatch_plan(
@@ -343,9 +329,9 @@ def fed_plan(
     """Stepsize choice for the compressed federated variant, f absent.
 
     A given ``gamma`` replaces the planned stepsize, and the complexity is
-    then that of the given stepsize. Extras carry the effective empty
-    probability and the expected-communication factor (uplink reals counted
-    in parallel across clients).
+    then that of the given stepsize. Both depend on the law only through the
+    probability (1 - k/d)^s that a coordinate gets no correction, which is
+    the empty probability of :func:`multiprox.sampling.compressed_view`.
     """
     if mu_h <= 0:
         raise HypothesisViolation("the federated plan needs strongly convex components")
@@ -363,11 +349,4 @@ def fed_plan(
         + d * n / (k * s)
         + d * n * gamma * L_h / (k * s * active)
     )
-    return StepsizePlan(
-        gamma=gamma,
-        complexity=iteration,
-        extras={
-            "p_check_empty": p_check,
-            "communication": active * k * iteration,
-        },
-    )
+    return StepsizePlan(gamma=gamma, complexity=iteration)

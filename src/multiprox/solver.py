@@ -196,8 +196,9 @@ def derive_params(
     """Theorem-backed parameters for a problem, law, and schedule.
 
     ``p_hat="theorem"`` picks the largest admissible acceptance probability.
-    An explicit float is honored when some admissible curvature transfer
-    supports it and rejected otherwise; it is never silently adjusted.
+    An explicit float fixes the survival mass and the curvature transfer in
+    closed form; it is honored when it stays within 1/(1 + gamma mu_hat) for
+    that transfer and rejected otherwise, never silently adjusted.
     """
     if dist.n != instance.n:
         raise ConfigurationError(f"law over {dist.n} components, problem has {instance.n}")
@@ -219,29 +220,26 @@ def derive_params(
 
     # With the canonical acceptance probability the survival mass p_bar
     # equals p_empty, which decouples the weights from the curvature
-    # transfer and needs no iteration.
+    # transfer.
+    eta = 1.0 / (n * tilde * (1.0 - p_empty))
+    mu_cap = transfer_cap(eta, mu_h, L_h)
     if p_hat == "theorem":
-        eta = 1.0 / (n * tilde * (1.0 - p_empty))
-        mu_hat = transfer_cap(eta, mu_h, L_h)
-        return SolverParams(eta, 1.0 / (1.0 + gamma * mu_hat), p_empty, mu_hat,
+        return SolverParams(eta, 1.0 / (1.0 + gamma * mu_cap), p_empty, mu_cap,
                             schedule, track_z)
 
     accept = float(p_hat)
     if not 0.0 <= accept <= 1.0:
         raise HypothesisViolation(f"acceptance probability {accept} outside [0, 1]")
-    # Joint fixed point: the cap on the curvature transfer depends on the
-    # weights, which depend on p_bar, which depends on the transfer.
-    mu_hat = 0.0
-    for _ in range(200):
-        p_bar = p_empty * accept * (1.0 + gamma * mu_hat)
-        eta = (1.0 - p_empty + p_bar) / (n * tilde * (1.0 - p_empty))
-        new = transfer_cap(eta, mu_h, L_h)
-        if abs(new - mu_hat) <= 1e-14 * (1.0 + new):
-            mu_hat = new
-            break
-        mu_hat = new
-    else:
-        raise HypothesisViolation("parameter resolution did not converge")
+    # The weights scale with 1 - p_empty + p_bar, and the cap is linear in
+    # them, so mu_hat = (1 - p_empty + p_bar) mu_cap with
+    # p_bar = p_empty accept (1 + gamma mu_hat): one linear equation.
+    slack = 1.0 - p_empty * accept * gamma * mu_cap
+    if slack <= 0.0:
+        raise HypothesisViolation(
+            f"acceptance probability {accept} admits no curvature transfer: "
+            f"p_empty * p_hat * gamma * mu_cap = {1.0 - slack} is not below 1"
+        )
+    mu_hat = (1.0 - p_empty + p_empty * accept) * mu_cap / slack
     p_bar = p_empty * accept * (1.0 + gamma * mu_hat)
     eta = (1.0 - p_empty + p_bar) / (n * tilde * (1.0 - p_empty))
     if accept > 1.0 / (1.0 + gamma * mu_hat) + 1e-12:

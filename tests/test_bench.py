@@ -227,8 +227,9 @@ class TestCsvEmission:
 
 class TestRunConfig:
     def test_dict_round_trip(self):
-        cfg = RunConfig(experiment="exp1", seed=3, alpha=0.5, replicates=2)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        raw = {"experiment": "exp1", "seed": 3, "alpha": 0.5, "replicates": 2}
+        assert RunConfig.from_dict(raw) == RunConfig(
+            experiment="exp1", seed=3, alpha=0.5, replicates=2)
 
     def test_rejects_keys_from_other_experiments(self):
         with pytest.raises(ConfigurationError):
@@ -252,10 +253,9 @@ class TestRunConfig:
             RunConfig(experiment="exp1", replicates=0)
 
     def test_file_round_trip(self, tmp_path):
-        cfg = RunConfig(experiment="exp3", k_values=[1, 2], mu=0.5)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        assert load_config(path) == cfg
+        path.write_text(json.dumps({"experiment": "exp3", "k_values": [1, 2], "mu": 0.5}))
+        assert load_config(path) == RunConfig(experiment="exp3", k_values=[1, 2], mu=0.5)
 
     def test_bad_config_files(self, tmp_path):
         broken = tmp_path / "broken.json"

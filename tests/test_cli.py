@@ -1,5 +1,7 @@
 """Command line interface: subcommands, JSON output, exit codes."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import tempfile
@@ -9,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiprox.bench import preset
 from multiprox.cli import main
 
 
@@ -84,6 +87,9 @@ class TestRun:
         # a repeated k once ran its arm twice and kept one
         duplicate_k = {"experiment": "exp3", "n": 4, "d": 4, "k_values": [2, 2],
                        "replicates": 1, "iterations": 20}
+        # numpy's own refusal of a negative seed did not name the key
+        negative_seed = {"experiment": "exp3", "seed": -1, "n": 4, "d": 4,
+                         "k_values": [2], "replicates": 1, "iterations": 3}
 
         # badly typed values get the same message and exit code, no traceback
         for i, payload in enumerate([
@@ -108,6 +114,7 @@ class TestRun:
             {"experiment": "exp3", "target": 10.0},
             # gamma(-1) = 2 / (mu (a - 1)) squares past float64
             {"experiment": "exp2", "mu": 1e-300, "d": 3, "iterations": 5, "replicates": 1},
+            negative_seed,
         ]):
             cfg = write_config(tmp_path, payload, name=f"typed-{i}.json")
             for command in ("run", "rates"):
@@ -116,6 +123,16 @@ class TestRun:
                 assert "error:" in result.output, (command, payload)
         cfg = write_config(tmp_path, duplicate_k, name="duplicate-k.json")
         assert "distinct" in CliRunner().invoke(main, ["run", "--config", cfg]).output
+        cfg = write_config(tmp_path, negative_seed, name="negative-seed.json")
+        for command in ("run", "rates"):
+            assert "seed" in CliRunner().invoke(main, [command, "--config", cfg]).output
+
+
+RATES_GOLDEN = {
+    "exp1-alpha005": "4343e7f89540242db155611a96a08f5a1f9e91246226f8056c840982e84a61df",
+    "exp2": "fab107383041b4469e60f24e29f378596c11e32ab7666ed01045180f0d40928c",
+    "exp3-L50": "00d92a689665c589f9ceb4321293b072b1a4ad4e1f87158ec9d6c026b9cd7e75",
+}
 
 
 class TestRates:
@@ -136,6 +153,17 @@ class TestRates:
         result = CliRunner().invoke(main, ["rates", "--config", cfg])
         assert result.exit_code == 2
         assert "rejected:" in result.output
+
+    def test_preset_reports_are_pinned(self, tmp_path):
+        # sha256 of the printed reports; any change to a certified factor or
+        # its derivation moves them
+        for name, digest in RATES_GOLDEN.items():
+            payload = {key: value for key, value in dataclasses.asdict(preset(name)).items()
+                       if value is not None}
+            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+            result = CliRunner().invoke(main, ["rates", "--config", cfg])
+            assert result.exit_code == 0, result.output
+            assert hashlib.sha256(result.output.encode()).hexdigest() == digest, name
 
     def test_federated_reports(self, tmp_path):
         result = CliRunner().invoke(main, ["rates", "--config", tiny_exp3(tmp_path)])

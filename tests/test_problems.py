@@ -135,7 +135,7 @@ def test_hyperplane_prox_matches_scipy_minimizer():
         constraints=[LinearConstraint(w[None, :], offset, offset)],
         options={"ftol": 1e-14, "maxiter": 500},
     )
-    ours = hyperplane_ridge_prox(w, offset, mu, gamma, v)
+    ours = hyperplane_ridge_prox(w, offset, mu, gamma, v, wnorm2=float(w @ w))
     np.testing.assert_allclose(ours, res.x, atol=1e-6)
     assert w @ ours == pytest.approx(offset, abs=1e-10)
 
@@ -150,7 +150,7 @@ def test_hyperplane_prox_kkt_structure():
         mu = float(rng.uniform(0.0, 2.0))
         gamma = float(rng.uniform(0.1, 2.0))
         v = rng.standard_normal(d)
-        y = hyperplane_ridge_prox(w, offset, mu, gamma, v)
+        y = hyperplane_ridge_prox(w, offset, mu, gamma, v, wnorm2=float(w @ w))
         # the oracle binds ||w||^2 once; its prox must agree bit for bit
         assert hyperplane_ridge(w, offset, mu).prox(gamma, v).tobytes() == y.tobytes()
         assert float(w @ y) == pytest.approx(offset, abs=1e-9)
@@ -181,7 +181,7 @@ def test_prox_firm_nonexpansiveness(seed, gamma, quadratic):
         w = rng.standard_normal(d)
         mu = float(rng.uniform(0.0, 3.0))
         offset = float(rng.standard_normal())
-        prox = lambda v: hyperplane_ridge_prox(w, offset, mu, gamma, v)
+        prox = lambda v: hyperplane_ridge_prox(w, offset, mu, gamma, v, wnorm2=float(w @ w))
     v1, v2 = rng.standard_normal(d), rng.standard_normal(d)
     p1, p2 = prox(v1), prox(v2)
     lhs = float((p1 - p2) @ (p1 - p2))

@@ -21,6 +21,7 @@ from multiprox.rates import (
     uniform_minibatch_plan,
 )
 from multiprox.rng import generator
+from multiprox.sampling import UniformMinibatch, compressed_view
 
 
 def canonical_inputs(rng, n=None, p_empty=None, force_finite=True):
@@ -112,12 +113,11 @@ def test_report_binding_labels():
         gamma=0.1, p=[0.5, 0.5], eta=[1.0, 1.0], L_h=(10.0, 10.0),
         mu_h=[0.0, 0.0], L_f=1.0, mu_f=1.0,
     )
-    report = rate_report("theorem", ri)
+    report = rate_report(ri)
+    assert report["kind"] == "theorem"
     assert report["binding"] == "distance"
     assert report["rho"] == pytest.approx(0.81, abs=1e-12)
     assert set(report["terms"]) == {"distance", "dual"}
-    with pytest.raises(HypothesisViolation):
-        rate_report("unknown", ri)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +388,18 @@ def test_fed_plan_full_coverage_matches_uniform_plan():
     fed = fed_plan(n=5, d=9, k=9, s=5, L_h=L, mu_h=mu)
     uni = uniform_minibatch_plan(n=5, s=5, L_f=0.0, max_L_h=L, mu_total=mu)
     assert fed.gamma == pytest.approx(uni.gamma, abs=1e-12)
-    assert fed.extras["p_check_empty"] == 0.0
 
 
-def test_fed_plan_extras_account_communication():
-    plan = fed_plan(n=4, d=10, k=2, s=3, L_h=5.0, mu_h=1.0)
-    p_check = (1.0 - 0.2) ** 3
-    assert plan.extras["p_check_empty"] == pytest.approx(p_check)
-    assert plan.extras["communication"] == pytest.approx(
-        (1.0 - p_check) * 2 * plan.complexity
+def test_fed_plan_uses_the_compressed_view_empty_probability():
+    n, d, k, s, L, mu = 4, 10, 2, 3, 5.0, 1.0
+    plan = fed_plan(n=n, d=d, k=k, s=s, L_h=L, mu_h=mu)
+    p_check = compressed_view(UniformMinibatch(n, s), k, d).empty_prob()
+    assert p_check == (1.0 - 0.2) ** 3
+    active = 1.0 - p_check
+    assert plan.gamma == pytest.approx(np.sqrt(k * s * active / (d * n * L * mu)))
+    assert plan.complexity == pytest.approx(
+        1.0 / (plan.gamma * mu) + 1.0 / active + d * n / (k * s)
+        + d * n * plan.gamma * L / (k * s * active)
     )
 
 

@@ -54,7 +54,7 @@ from multiprox import (
     zero_smooth,
 )
 from multiprox.problems import QuadraticForm, harmonic_curvature, orthogonal_matrix
-from multiprox.rates import rho_n1_simple_g
+from multiprox.rates import rho_n1_simple_g, transfer_cap
 from multiprox.solver import (
     ACCEL_NO_CURVATURE,
     ACCEL_NONEMPTY,
@@ -291,6 +291,35 @@ class TestDeriveParams:
         inst = generate_instance("exp3", 2, n=4, d=4, mu=0.5, l_max=6.0)
         with pytest.raises(HypothesisViolation):
             derive_params(inst, UniformMinibatch(4, 2), Constant(0.05), p_hat=1.0)
+
+    def test_explicit_acceptance_transfer_is_the_cap_of_its_weights(self):
+        # mu_hat and the weights come out of one linear equation, so the
+        # returned transfer is the cap of the returned weights to rounding
+        rng = generator(31)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            subsets = [()] + [(i,) for i in range(n)] + [
+                tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                for _ in range(2)
+            ]
+            law = ExplicitSupport(n, list(zip(subsets, rng.dirichlet(np.ones(len(subsets))))))
+            lo = float(rng.uniform(0.05, 2.0))
+            inst = quad_instance(int(rng.integers(2**31)), n=n, d=3,
+                                 lam_range=(lo, lo * float(rng.uniform(1.5, 100.0))))
+            gamma = float(10.0 ** rng.uniform(-3.0, 0.0))
+            canonical = derive_params(inst, law, Constant(gamma))
+            accept = float(rng.uniform(0.0, 1.0)) * canonical.p_hat
+            params = derive_params(inst, law, Constant(gamma), p_hat=accept)
+            cap = transfer_cap(params.eta, inst.mu_h, inst.L_h)
+            assert abs(params.mu_hat_h - cap) <= 4.0 * eps * params.mu_hat_h
+
+    def test_explicit_acceptance_without_a_finite_transfer_rejected(self):
+        # p_empty p_hat gamma mu_cap >= 1: the coupled transfer has no solution
+        inst = generate_instance("exp3", 2, n=1, d=3, mu=0.5, l_max=6.0)
+        law = ExplicitSupport(1, [((), 0.9), ((0,), 0.1)])
+        with pytest.raises(HypothesisViolation, match="no curvature transfer"):
+            derive_params(inst, law, Constant(1.0), p_hat=1.0)
 
     def test_law_size_must_match(self):
         inst = generate_instance("exp3", 2, n=4, d=4, mu=0.5, l_max=6.0)
