@@ -390,31 +390,24 @@ def instance_for(cfg: RunConfig) -> ProblemInstance:
     return generate_instance(cfg.experiment, rng, **sizes)
 
 
-def _anchor(instance: ProblemInstance, params: SolverParams,
-            spec: LyapunovSpec | None, x0) -> float | None:
-    """The envelope anchor: the Lyapunov value at the replicates' shared start."""
-    if spec is None:
-        return None
-    return lyapunov(initial_state(instance, x0=x0, track_z=params.track_z),
-                    instance, params, spec)
-
-
-def _arm(name: str, cfg: RunConfig, spec: LyapunovSpec | None, psi0: float | None,
+def _arm(name: str, cfg: RunConfig, spec: LyapunovSpec | None,
          trace: Callable, info: dict) -> ArmResult:
     """Rows, envelope and aggregate of one arm over the config's replicates.
 
     ``trace(r, record)`` runs replicate r and calls ``record(t, sq_dist,
     lyapunov, (comm_parallel, comm_total))`` at every logged iteration. The
-    envelope column is ``spec.envelope_ratio(t) * psi0`` when both are known.
+    envelope column is ``spec.envelope_ratio(t) * psi0``, where psi0 is the
+    first Lyapunov value recorded: replicate 0 at t = 0, the start that every
+    replicate shares.
     """
-    ratio = None if psi0 is None else spec.envelope_ratio
     rows: list[TraceRow] = []
     for r in range(cfg.replicates):
 
         def record(t, dist_sq, psi, comm, r=r):
+            psi0 = rows[0].lyapunov if rows else psi
             rows.append(TraceRow(
                 t=t, sq_dist=dist_sq, lyapunov=psi,
-                theory_envelope=None if ratio is None else ratio(t) * psi0,
+                theory_envelope=None if psi0 is None else spec.envelope_ratio(t) * psi0,
                 comm_parallel=comm[0], comm_total=comm[1], replicate=r,
             ))
 
@@ -450,7 +443,7 @@ def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
         info["gamma"] = params.schedule.gamma
     if spec is not None and spec.rho is not None:
         info["rho"] = spec.rho
-    arm = _arm(name, cfg, spec, _anchor(instance, params, spec, x0), trace, info)
+    arm = _arm(name, cfg, spec, trace, info)
     if target is not None:
         info["iterations_to_target"] = hits
         info["mean_iterations_to_target"] = _mean_if_all(hits)
@@ -459,24 +452,21 @@ def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
 
 def _fed_rates(fed) -> dict:
     """The certified-rate fields of a federated arm's info and of its rate summary."""
-    return {"rho": fed.rho, "gamma": fed.gamma, "p_check_empty": fed.p_check_empty,
-            "iteration_complexity": fed.iteration_complexity}
+    return {"rho": fed.rho, "gamma": fed.solver.schedule.gamma,
+            "p_check_empty": fed.solver.p_bar, "iteration_complexity": fed.iteration_complexity}
 
 
 def _fed_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
              dist: SamplingDistribution, k: int, x0=None) -> ArmResult:
     """Compressed rounds with budget k; replicate r streams from ``cfg.seed + r``."""
     fed = derive_fed_params(instance, dist, k)
-    spec = None
-    if fed.rho is not None:
-        spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, fed.effective, fed.solver)
 
     def trace(r, record):
         fed_run(instance, fed, dist, FedRng.from_seed(cfg.seed + r, instance.n),
                 cfg.iterations, sink=record, x0=x0, cadence=default_cadence)
 
     info = {"law": dist.to_config(), "k": k, **_fed_rates(fed)}
-    arm = _arm(name, cfg, spec, _anchor(instance, fed.solver, spec, x0), trace, info)
+    arm = _arm(name, cfg, fed.spec, trace, info)
     info["final_uplink_total"] = max((r.comm_total for r in arm.rows), default=0)
     return arm
 

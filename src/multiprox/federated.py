@@ -39,12 +39,13 @@ import numpy as np
 
 from .errors import ConfigurationError, HypothesisViolation
 from .problems import ProblemInstance, is_infinite
-from .rates import fed_plan, rho_theorem1
+from .rates import fed_plan
 from .rng import SeedLike, spawn
 from .sampling import SamplingDistribution, UniformMinibatch, compressed_view
 from .solver import (
     LINEAR_SMOOTH,
     Constant,
+    LyapunovSpec,
     SolverParams,
     SolverState,
     _check_trust_region,
@@ -55,7 +56,6 @@ from .solver import (
     initial_state,
     lyapunov,
     make_lyapunov_spec,
-    rate_inputs_from,
     sq_dist,
 )
 
@@ -212,15 +212,18 @@ def rescale(
 
 @dataclass(frozen=True)
 class FedParams:
-    """Derived configuration of one federated run."""
+    """Derived configuration of one federated run; ``spec`` is the linear-rate
+    Lyapunov function under the effective law, None where it is not certified."""
 
     solver: SolverParams
     k: int
     effective: SamplingDistribution
-    p_check_empty: float
-    gamma: float
-    rho: float | None = None
+    spec: LyapunovSpec | None
     iteration_complexity: float | None = None
+
+    @property
+    def rho(self) -> float | None:
+        return None if self.spec is None else self.spec.rho
 
 
 def derive_fed_params(
@@ -234,9 +237,10 @@ def derive_fed_params(
     The theorem-exact path (no smooth term, no simple-term curvature,
     identical strongly convex smooth components, uniform size-s
     participation) certifies a rate through :func:`multiprox.rates.fed_plan`
-    and, when ``gamma`` is omitted, takes its planned stepsize. Anything else
-    takes the generic path through the effective law and needs an explicit
-    ``gamma``.
+    and, when ``gamma`` is omitted, takes its planned stepsize; a rate that
+    does not contract is refused there. Anything else takes the generic path
+    through the effective law, needs an explicit ``gamma`` and leaves the
+    spec out when the rate is not certified.
     """
     effective = compressed_view(dist, k, instance.d)
     exact = (
@@ -253,9 +257,9 @@ def derive_fed_params(
     if exact:
         L = float(instance.L_h[0])
         mu = float(instance.mu_h[0])
-        plan = fed_plan(instance.n, instance.d, k, dist.s, L, mu, gamma=gamma)
-        gamma, complexity = plan.gamma, plan.complexity
         p_check = effective.empty_prob()
+        plan = fed_plan(instance.n, instance.d, k, dist.s, p_check, L, mu, gamma=gamma)
+        gamma, complexity = plan.gamma, plan.complexity
         active = 1.0 - p_check
         mu_hat = 2.0 * mu * L / (active * (L + mu))
         params = SolverParams(
@@ -265,7 +269,7 @@ def derive_fed_params(
             mu_hat_h=mu_hat,
             schedule=Constant(gamma),
         )
-        rho = rho_theorem1(rate_inputs_from(instance, effective, params))
+        spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, effective, params)
     else:
         if gamma is None:
             raise HypothesisViolation(
@@ -274,20 +278,11 @@ def derive_fed_params(
             )
         params = derive_params(instance, effective, Constant(gamma))
         try:
-            rho = rho_theorem1(rate_inputs_from(instance, effective, params))
+            spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, effective, params)
         except HypothesisViolation:
-            rho = None
-    return FedParams(
-        solver=params,
-        k=k,
-        effective=effective,
-        # both paths use the canonical acceptance probability, under which
-        # the survival mass p_bar is the effective empty probability
-        p_check_empty=params.p_bar,
-        gamma=gamma,
-        rho=rho,
-        iteration_complexity=complexity,
-    )
+            spec = None
+    return FedParams(solver=params, k=k, effective=effective, spec=spec,
+                     iteration_complexity=complexity)
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +355,18 @@ def fed_run(
 
     Returns the final state, its (n, d) client duals and the ledger.
     ``comm`` is the cumulative (parallel, total) uplink real count. The
-    Lyapunov value uses the general linear-rate function under the effective
-    law when that rate is certified, and is absent otherwise.
+    Lyapunov value is that of ``fed.spec``, absent when it is None.
     """
     if not isinstance(rngs, FedRng):
         rngs = FedRng.from_seed(rngs, instance.n)
     _check_clients(rngs, instance)
     state = initial_state(instance, x0=x0)
     ledger = CommLedger()
-    spec = None
-    if fed.rho is not None:
-        spec = make_lyapunov_spec(LINEAR_SMOOTH, instance, fed.effective, fed.solver)
 
     def emit():
         if sink is None:
             return
-        psi = None if spec is None else lyapunov(state, instance, fed.solver, spec)
+        psi = None if fed.spec is None else lyapunov(state, instance, fed.solver, fed.spec)
         sink(
             state.t,
             sq_dist(state, instance),

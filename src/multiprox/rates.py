@@ -324,23 +324,25 @@ def uniform_minibatch_plan(
 
 
 def fed_plan(
-    n: int, d: int, k: int, s: int, L_h: float, mu_h: float, gamma: float | None = None
+    n: int, d: int, k: int, s: int, p_empty: float, L_h: float, mu_h: float,
+    gamma: float | None = None,
 ) -> StepsizePlan:
     """Stepsize choice for the compressed federated variant, f absent.
 
+    ``p_empty`` is the probability that a coordinate gets no correction, the
+    empty probability of the law from :func:`multiprox.sampling.compressed_view`.
     A given ``gamma`` replaces the planned stepsize, and the complexity is
-    then that of the given stepsize. Both depend on the law only through the
-    probability (1 - k/d)^s that a coordinate gets no correction, which is
-    the empty probability of :func:`multiprox.sampling.compressed_view`.
+    then that of the given stepsize.
     """
     if mu_h <= 0:
         raise HypothesisViolation("the federated plan needs strongly convex components")
     if is_infinite(L_h) or L_h <= 0:
         raise HypothesisViolation("the federated plan needs finite positive smoothness")
-    if not 1 <= k <= d or not 1 <= s <= n:
-        raise HypothesisViolation(f"need 1 <= k <= d and 1 <= s <= n, got k={k}, s={s}")
-    p_check = (1.0 - k / d) ** s
-    active = 1.0 - p_check
+    if not 1 <= k <= d or not 1 <= s <= n or not 0.0 <= p_empty < 1.0:
+        raise HypothesisViolation(
+            f"need 1 <= k <= d, 1 <= s <= n and 0 <= p_empty < 1, "
+            f"got k={k}, s={s}, p_empty={p_empty}")
+    active = 1.0 - p_empty
     if gamma is None:
         gamma = math.sqrt(k * s * active / (d * n * L_h * mu_h))
     iteration = (

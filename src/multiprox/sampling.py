@@ -334,8 +334,7 @@ class ThinnedView(SamplingDistribution):
     def empty_prob(self) -> float:
         drop = 1.0 - self.keep_ratio
         base = self.base
-        if isinstance(base, FullBatch):
-            return drop ** base.n
+        # a FullBatch is a UniformMinibatch with s = n
         if isinstance(base, UniformMinibatch):
             return drop ** base.s
         if isinstance(base, SingletonWeighted):

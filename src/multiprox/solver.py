@@ -208,20 +208,19 @@ def derive_params(
     mu_h = instance.mu_h
     L_h = instance.L_h
     n = instance.n
+    # The canonical weights. With the canonical acceptance probability the
+    # survival mass p_bar equals p_empty, which decouples the weights from
+    # the curvature transfer.
+    eta = 1.0 / (n * tilde * (1.0 - p_empty))
 
     if isinstance(schedule, Adaptive):
-        return _derive_adaptive(instance, schedule, tilde, p_empty, mu_h, p_hat, track_z)
+        return _derive_adaptive(instance, schedule, eta, p_empty, mu_h, p_hat, track_z)
 
     gamma = schedule.gamma
     if instance.f.L > 0 and gamma >= 2.0 / instance.f.L:
         raise HypothesisViolation(
             f"stepsize {gamma} not below 2/L_f = {2.0 / instance.f.L}"
         )
-
-    # With the canonical acceptance probability the survival mass p_bar
-    # equals p_empty, which decouples the weights from the curvature
-    # transfer.
-    eta = 1.0 / (n * tilde * (1.0 - p_empty))
     mu_cap = transfer_cap(eta, mu_h, L_h)
     if p_hat == "theorem":
         return SolverParams(eta, 1.0 / (1.0 + gamma * mu_cap), p_empty, mu_cap,
@@ -250,8 +249,7 @@ def derive_params(
     return SolverParams(eta, accept, p_bar, mu_hat, schedule, track_z)
 
 
-def _derive_adaptive(instance, schedule, tilde, p_empty, mu_h, p_hat, track_z):
-    n = instance.n
+def _derive_adaptive(instance, schedule, eta, p_empty, mu_h, p_hat, track_z):
     if p_empty > 0.0 and np.any(mu_h > 0):
         raise Unsupported(
             "decreasing stepsizes support either never-empty subsets or "
@@ -263,13 +261,11 @@ def _derive_adaptive(instance, schedule, tilde, p_empty, mu_h, p_hat, track_z):
             "point on every empty round"
         )
     if p_empty == 0.0:
-        eta = 1.0 / (n * tilde)
         # On this path the curvature transfer skips the harmonic factor:
         # components only need convexity, not smoothness.
         mu_hat = float(np.min(2.0 * eta * mu_h))
         mu_ref = max(instance.f.mu, instance.g.mu / 2.0, mu_hat / 2.0)
     else:
-        eta = 1.0 / (n * tilde * (1.0 - p_empty))
         mu_hat = 0.0
         mu_ref = max(instance.f.mu, instance.g.mu / 2.0)
     if mu_ref <= 0:
@@ -417,8 +413,9 @@ def _drive(
 
     ``emit`` fires at the start and then at every t selected by ``cadence``
     (an every-k integer or a predicate), always including t = T. ``stop`` is
-    asked after every step; when it holds, the loop emits and ends there.
-    Returns the iteration at which it stopped, None when it ran all T steps.
+    asked at the start and after every step; when it holds, the loop ends
+    there, with that t emitted. Returns the iteration at which it stopped,
+    None when it ran all T steps.
     """
     if T < 0:
         raise ConfigurationError(f"negative iteration count {T}")
@@ -428,6 +425,8 @@ def _drive(
     else:
         selected = cadence
     emit()
+    if stop is not None and stop():
+        return state.t
     for _ in range(T):
         advance()
         if stop is not None and stop():
@@ -566,31 +565,27 @@ def make_lyapunov_spec(
     if not isinstance(params.schedule, Constant):
         raise HypothesisViolation("linear-rate variant needs a constant stepsize")
     gamma = params.schedule.gamma
-    inv_total = np.array([
-        inverse_total_curvature(instance.L_h[i], float(instance.mu_h[i]))
-        for i in range(n)
-    ])
-
-    if variant == LINEAR_SMOOTH:
-        ri = rate_inputs_from(instance, dist, params)
-        rho = rho_theorem1(ri)
-        growth = 1.0 - p_empty + params.p_bar
-        u_w = (growth / n) * (gamma**2 * params.eta + 2.0 * gamma * inv_total) / p
-        x_w = 1.0 + gamma * params.mu_hat_h
-    elif variant == LINEAR_SINGLE:
-        if n != 1:
-            raise HypothesisViolation("the single-component variant needs n = 1")
-        ri = rate_inputs_from(instance, dist, params)
-        rho = rho_n1_simple_g(ri)
-        eta1 = float(params.eta[0])
-        u_w = np.array([gamma**2 * eta1**2 + 2.0 * gamma * eta1 * float(inv_total[0])])
-        x_w = 1.0 + gamma * params.mu_hat_h
-    else:  # SIMILARITY
+    inv_total = np.array([inverse_total_curvature(L, mu)
+                          for L, mu in zip(instance.L_h, instance.mu_h.tolist())])
+    if variant == LINEAR_SINGLE and n != 1:
+        raise HypothesisViolation("the single-component variant needs n = 1")
+    if variant == SIMILARITY:
         if instance.delta is None:
             raise HypothesisViolation("the similarity variant needs a known dissimilarity")
         if not params.track_z:
             raise HypothesisViolation("the similarity variant needs anchor tracking")
-        ri = rate_inputs_from(instance, dist, params)
+    ri = rate_inputs_from(instance, dist, params)
+    x_w = 1.0 + gamma * params.mu_hat_h
+    z_w = 0.0
+    if variant == LINEAR_SMOOTH:
+        rho = rho_theorem1(ri)
+        growth = 1.0 - p_empty + params.p_bar
+        u_w = (growth / n) * (gamma**2 * params.eta + 2.0 * gamma * inv_total) / p
+    elif variant == LINEAR_SINGLE:
+        rho = rho_n1_simple_g(ri)
+        eta1 = float(params.eta[0])
+        u_w = np.array([gamma**2 * eta1**2 + 2.0 * gamma * eta1 * float(inv_total[0])])
+    else:  # SIMILARITY
         rho = rho_similarity(ri)
         p_s = float(p[0])
         mu_hat_f = forward_curvature(gamma, instance.f.mu, instance.f.L)
@@ -598,12 +593,8 @@ def make_lyapunov_spec(
         x_w = 1.0 - gamma * mu_hat_f / 2.0 + gamma * mu_hat_h / 2.0
         z_w = gamma * (mu_hat_f + mu_hat_h) / (2.0 * n * p_s)
         u_w = np.full(n, (gamma**2 + 2.0 * gamma * float(inv_total[0])) / (n * p_s))
-        return LyapunovSpec(
-            variant=variant, rho=rho, x_weight=x_w, u_weights=u_w, z_weight=z_w,
-            envelope_ratio=lambda t, r=rho: r**t,
-        )
     return LyapunovSpec(
-        variant=variant, rho=rho, x_weight=x_w, u_weights=u_w,
+        variant=variant, rho=rho, x_weight=x_w, u_weights=u_w, z_weight=z_w,
         envelope_ratio=lambda t, r=rho: r**t,
     )
 

@@ -309,7 +309,7 @@ def test_criterion_10_per_coordinate_thinning_matches_the_enumerated_law(verdict
     dist = FullBatch(n)
     fed = derive_fed_params(instance, dist, k)
     p_check = (1.0 - k / d) ** n
-    exact_ok = (abs(fed.p_check_empty - p_check) <= 1e-12
+    exact_ok = (abs(fed.solver.p_bar - p_check) <= 1e-12
                 and abs(fed.effective.empty_prob() - p_check) <= 1e-12)
 
     # replay generators seeded like the engine's client streams; the engine

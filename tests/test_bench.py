@@ -9,6 +9,7 @@ acceptance suite drives them at measurement scale.
 import dataclasses
 import hashlib
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -412,6 +413,26 @@ class TestExperimentRuns:
             assert arm.info["rho"] < 1.0
         assert result.summary["gap"] is not None
 
+    def test_exp1_start_inside_the_target_takes_no_step(self):
+        # both arms start at a squared distance of about 390
+        cfg = RunConfig(experiment="exp1", n=4, d=4, l_max=20.0, replicates=2,
+                        iterations=50, target=1e9)
+        result = run_experiment(cfg)
+        for arm in result.arms.values():
+            assert arm.info["iterations_to_target"] == [0, 0]
+            assert [(r.t, r.replicate) for r in arm.rows] == [(0, 0), (0, 1)]
+        assert result.summary["gap"] == 0.0
+
+    @pytest.mark.parametrize("cfg", [cfg for cfg, _ in GOLDEN], ids=EXPERIMENTS)
+    def test_the_envelope_starts_at_every_replicates_start_value(self, cfg):
+        certified = [arm for arm in run_experiment(cfg).arms.values()
+                     if arm.rows[0].lyapunov is not None]
+        assert certified
+        for arm in certified:
+            starts = [r for r in arm.rows if r.t == 0]
+            assert [r.replicate for r in starts] == list(range(cfg.replicates))
+            assert all(r.theory_envelope == r.lyapunov for r in starts)
+
     def test_exp2_structure(self):
         cfg = RunConfig(experiment="exp2", seed=2, d=8, grid=[0.5, 0.25],
                         replicates=2, iterations=200)
@@ -452,10 +473,14 @@ class TestExperimentRuns:
         assert exp3["k-2"]["rho"] is not None
 
 
-def _perfbench_spans():
-    """The benchmark's span recorder, executed from its source without an import."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    module = types.ModuleType("perfbench_spans")
+def _perfbench_module(name, monkeypatch):
+    """A module of the benchmark, executed from its source without an import.
+
+    It sits in ``sys.modules`` for the test, where dataclasses look it up.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
@@ -467,8 +492,8 @@ class TestTracedSurface:
     so the names and the calls that go through them are pinned here.
     """
 
-    def test_every_traced_attribute_exists_and_sees_every_step(self):
-        spans = _perfbench_spans()
+    def test_every_traced_attribute_exists_and_sees_every_step(self, monkeypatch):
+        spans = _perfbench_module("spans", monkeypatch)
         rec = spans.Recorder()
         with spans.patched(rec, spans.package_targets(multiprox, rec)) as missing:
             assert missing == []
@@ -486,3 +511,21 @@ class TestTracedSurface:
         assert count["federated.fed_step"] == 60
         assert count["problems.generate_instance"] == 2
         assert count["bench.aggregate_replicates"] == 3
+
+
+class TestBenchmarkSurface:
+    """The benchmark's set-up and library solve call the package directly.
+
+    They read ``FedParams`` fields, unpack ``fed_run``'s result and call
+    ``bench.exp1_arms`` and ``run(state=...)``; each workload is driven here
+    at its tiny size.
+    """
+
+    def test_every_workload_sets_up_and_solves(self, monkeypatch):
+        workloads = _perfbench_module("workloads", monkeypatch)
+        for w in workloads.WORKLOADS:
+            solve = workloads.setup(multiprox, w, workloads.config_for(w, tiny=True), 0,
+                                    w.tiny_solve_steps)
+            steps, x, seen = solve(0)
+            assert steps == w.tiny_solve_steps, w.name
+            assert np.all(np.isfinite(x)) and len(seen) >= 2, w.name

@@ -209,6 +209,17 @@ class TestRatesAgreeWithRun:
                 command, payload, result.exception)
         assert (results["run"].exit_code == 2) == (results["rates"].exit_code == 2), payload
 
+    def test_exact_federated_path_refuses_a_rate_without_contraction(self, tmp_path):
+        # at mu = 1e-40 the certified factor rounds to 1.0
+        cfg = write_config(tmp_path, {
+            "experiment": "exp3", "seed": 1, "n": 4, "d": 4, "mu": 1e-40, "l_max": 3.0,
+            "k_values": [2], "replicates": 1, "iterations": 5,
+        })
+        for command in ("run", "rates"):
+            result = CliRunner().invoke(main, [command, "--config", cfg])
+            assert result.exit_code == 2, (command, result.output)
+            assert "no contraction" in result.output, command
+
 
 class TestBench:
     def test_subcommand_is_registered(self):

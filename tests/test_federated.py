@@ -164,8 +164,8 @@ class TestDeriveFedParams:
             p_check = (1.0 - k / 4.0) ** 2
             active = 1.0 - p_check
             gamma = np.sqrt(k * 2 * active / (4 * 4 * 3.0 * 1.0))
-            assert abs(fed.p_check_empty - p_check) <= 1e-15
-            assert abs(fed.gamma - gamma) <= 1e-15
+            assert abs(fed.effective.empty_prob() - p_check) <= 1e-15
+            assert abs(fed.solver.schedule.gamma - gamma) <= 1e-15
             assert np.allclose(fed.solver.eta, 1.0 / active, atol=1e-15)
             mu_hat = 2.0 * 1.0 * 3.0 / (active * 4.0)
             assert abs(fed.solver.mu_hat_h - mu_hat) <= 1e-14
@@ -184,7 +184,7 @@ class TestDeriveFedParams:
             p_check = eff.empty_prob()
             # rebuild every rate input from the stated closed forms alone
             ri = RateInputs(
-                gamma=fed.gamma,
+                gamma=fed.solver.schedule.gamma,
                 p=eff.inclusion_probs(),
                 eta=np.full(4, 1.0 / (1.0 - p_check)),
                 L_h=tuple(inst.L_h),
@@ -192,7 +192,7 @@ class TestDeriveFedParams:
                 L_f=0.0, mu_f=0.0, mu_g=0.0,
                 mu_hat_h=2.0 * 1.0 * 3.0 / ((1.0 - p_check) * 4.0),
                 p_empty=p_check,
-                p_hat=1.0 / (1.0 + fed.gamma * fed.solver.mu_hat_h),
+                p_hat=1.0 / (1.0 + fed.solver.schedule.gamma * fed.solver.mu_hat_h),
                 p_bar=p_check,
             )
             assert abs(fed.rho - rho_theorem1(ri)) <= 1e-12
@@ -202,8 +202,9 @@ class TestDeriveFedParams:
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         for k, s in ((1, 2), (2, 3), (4, 4)):
             fed = derive_fed_params(inst, UniformMinibatch(4, s), k)
-            plan = fed_plan(4, 4, k, s, 3.0, 1.0)
-            assert abs(fed.gamma - plan.gamma) <= 1e-15
+            p_check = compressed_view(UniformMinibatch(4, s), k, 4).empty_prob()
+            plan = fed_plan(4, 4, k, s, p_check, 3.0, 1.0)
+            assert abs(fed.solver.schedule.gamma - plan.gamma) <= 1e-15
 
     def test_generic_path_delegates_to_the_effective_law(self):
         inst = small_exact_instance(n=3, d=5, mu=0.5, l_max=6.0)
@@ -215,7 +216,7 @@ class TestDeriveFedParams:
         assert fed.solver.p_hat == reference.p_hat
         assert fed.solver.p_bar == reference.p_bar
         assert fed.solver.mu_hat_h == reference.mu_hat_h
-        assert fed.p_check_empty == eff.empty_prob()
+        assert fed.solver.p_bar == eff.empty_prob()
         assert fed.iteration_complexity is None
         assert fed.rho is not None and 0.0 < fed.rho < 1.0
 
@@ -227,7 +228,25 @@ class TestDeriveFedParams:
     def test_uncertifiable_rate_is_reported_as_absent(self):
         inst = generate_instance("exp2", 5, d=4)
         fed = derive_fed_params(inst, UniformMinibatch(4, 2), 2, gamma=0.05)
-        assert fed.rho is None
+        assert fed.spec is None and fed.rho is None
+
+    @pytest.mark.parametrize("path", ["exact", "generic"])
+    def test_the_spec_is_the_linear_rate_certificate_of_the_effective_law(self, path):
+        inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
+        if path == "exact":
+            dist, fed = UniformMinibatch(4, 2), derive_fed_params(inst, UniformMinibatch(4, 2), 3)
+        else:
+            dist = SingletonWeighted([0.1, 0.2, 0.3, 0.4])
+            fed = derive_fed_params(inst, dist, 3, gamma=0.05)
+        ref = make_lyapunov_spec(LINEAR_SMOOTH, inst, compressed_view(dist, 3, 4), fed.solver)
+        spec = fed.spec
+        assert fed.rho is spec.rho and spec.rho == ref.rho
+        assert (spec.variant, spec.x_weight, spec.z_weight, spec.adaptive_x_mu) == (
+            ref.variant, ref.x_weight, ref.z_weight, ref.adaptive_x_mu)
+        assert np.array_equal(spec.u_weights, ref.u_weights)
+        assert spec.adaptive_u_base is None and ref.adaptive_u_base is None
+        for t in (0, 1, 17):
+            assert spec.envelope_ratio(t) == ref.envelope_ratio(t)
 
     def test_rejects_bad_k(self):
         inst = small_exact_instance()
@@ -248,7 +267,7 @@ class TestFedStep:
         inst = small_exact_instance(n=6, d=5, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(6, 2)
         fed = derive_fed_params(inst, dist, 5)
-        assert fed.p_check_empty == 0.0
+        assert fed.solver.p_bar == 0.0
         x0 = generator(40).standard_normal(5)
         server = initial_state(inst, x0=x0)
         ledger = CommLedger()
@@ -309,7 +328,7 @@ class TestFedStep:
         x, u = rng.standard_normal(4), rng.standard_normal((2, 4))
         server = SolverState(t=0, x=x.copy(), u=u.copy(), u_bar=u.mean(axis=0))
         fed_step(server, inst, fed, dist, fed_rngs(0, 1, [52, 53]), CommLedger())
-        gamma = fed.gamma
+        gamma = fed.solver.schedule.gamma
         xhat = inst.g.prox(gamma, x - gamma * (inst.f.grad(x) + u.mean(axis=0)))
         for i, seed in enumerate((52, 53)):
             ge = gamma * float(fed.solver.eta[i])
@@ -625,7 +644,7 @@ class TestFedRun:
         # no certified plan covers a stepsize this large; build it by hand
         fed = FedParams(
             solver=SolverParams(np.ones(1), 1.0, 0.0, 0.0, Constant(3.0)),
-            k=2, effective=FullBatch(1), p_check_empty=0.0, gamma=3.0,
+            k=2, effective=FullBatch(1), spec=None,
         )
         # x doubles every round from 1e9 sqrt(2); the trust region is 1e12
         with pytest.raises(NumericalDivergence) as exc:
