@@ -257,9 +257,9 @@ def derive_fed_params(
     if exact:
         L = float(instance.L_h[0])
         mu = float(instance.mu_h[0])
-        p_check = effective.empty_prob()
-        plan = fed_plan(instance.n, instance.d, k, dist.s, p_check, L, mu, gamma=gamma)
+        plan = fed_plan(instance.n, instance.d, k, dist.s, L, mu, gamma=gamma)
         gamma, complexity = plan.gamma, plan.complexity
+        p_check = effective.empty_prob()
         active = 1.0 - p_check
         mu_hat = 2.0 * mu * L / (active * (L + mu))
         params = SolverParams(

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HypothesisViolation
 from .rng import generator
 
 Array = np.ndarray
@@ -57,9 +57,11 @@ def harmonic_curvature(mu: float, L: Curvature) -> float:
 
 
 def inverse_total_curvature(L: Curvature, mu: float) -> float:
-    """1 / (L + mu), taken as 0 in the limit of unbounded L."""
+    """1 / (L + mu), taken as 0 in the limit of unbounded L; refused at L = mu = 0."""
     if is_infinite(L):
         return 0.0
+    if L + mu <= 0:
+        raise HypothesisViolation("inverse total curvature needs L + mu > 0")
     return 1.0 / (L + mu)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .problems import Curvature, INFINITE, harmonic_curvature, is_infinite
+from .sampling import UniformMinibatch, compressed_view
 
 Array = np.ndarray
 
@@ -324,25 +325,22 @@ def uniform_minibatch_plan(
 
 
 def fed_plan(
-    n: int, d: int, k: int, s: int, p_empty: float, L_h: float, mu_h: float,
-    gamma: float | None = None,
+    n: int, d: int, k: int, s: int, L_h: float, mu_h: float, gamma: float | None = None
 ) -> StepsizePlan:
     """Stepsize choice for the compressed federated variant, f absent.
 
-    ``p_empty`` is the probability that a coordinate gets no correction, the
-    empty probability of the law from :func:`multiprox.sampling.compressed_view`.
     A given ``gamma`` replaces the planned stepsize, and the complexity is
-    then that of the given stepsize.
+    then that of the given stepsize. Both depend on the law only through the
+    probability that a coordinate gets no correction, the empty probability
+    of :func:`multiprox.sampling.compressed_view` for size-s participation.
     """
     if mu_h <= 0:
         raise HypothesisViolation("the federated plan needs strongly convex components")
     if is_infinite(L_h) or L_h <= 0:
         raise HypothesisViolation("the federated plan needs finite positive smoothness")
-    if not 1 <= k <= d or not 1 <= s <= n or not 0.0 <= p_empty < 1.0:
-        raise HypothesisViolation(
-            f"need 1 <= k <= d, 1 <= s <= n and 0 <= p_empty < 1, "
-            f"got k={k}, s={s}, p_empty={p_empty}")
-    active = 1.0 - p_empty
+    if not 1 <= k <= d or not 1 <= s <= n:
+        raise HypothesisViolation(f"need 1 <= k <= d and 1 <= s <= n, got k={k}, s={s}")
+    active = 1.0 - compressed_view(UniformMinibatch(n, s), k, d).empty_prob()
     if gamma is None:
         gamma = math.sqrt(k * s * active / (d * n * L_h * mu_h))
     iteration = (

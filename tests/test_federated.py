@@ -202,8 +202,7 @@ class TestDeriveFedParams:
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         for k, s in ((1, 2), (2, 3), (4, 4)):
             fed = derive_fed_params(inst, UniformMinibatch(4, s), k)
-            p_check = compressed_view(UniformMinibatch(4, s), k, 4).empty_prob()
-            plan = fed_plan(4, 4, k, s, p_check, 3.0, 1.0)
+            plan = fed_plan(4, 4, k, s, 3.0, 1.0)
             assert abs(fed.solver.schedule.gamma - plan.gamma) <= 1e-15
 
     def test_generic_path_delegates_to_the_effective_law(self):
@@ -228,6 +227,16 @@ class TestDeriveFedParams:
     def test_uncertifiable_rate_is_reported_as_absent(self):
         inst = generate_instance("exp2", 5, d=4)
         fed = derive_fed_params(inst, UniformMinibatch(4, 2), 2, gamma=0.05)
+        assert fed.spec is None and fed.rho is None
+
+    def test_a_component_without_curvature_leaves_the_spec_out(self):
+        # h = 0 has L = mu = 0, where the dual weight 1/(L + mu) is undefined
+        inst = ProblemInstance(
+            f=SmoothOracle(grad=lambda v: v, L=1.0, mu=1.0), g=zero_prox(),
+            h=(zero_prox(),), n=1, d=2,
+            x_star=np.zeros(2), u_star=np.zeros((1, 2)),
+        )
+        fed = derive_fed_params(inst, FullBatch(1), 2, gamma=0.5)
         assert fed.spec is None and fed.rho is None
 
     @pytest.mark.parametrize("path", ["exact", "generic"])

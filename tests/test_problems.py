@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiprox.errors import ConfigurationError
+from multiprox.errors import ConfigurationError, HypothesisViolation
 from multiprox.problems import (
     INFINITE,
     ProblemInstance,
@@ -54,6 +54,8 @@ def test_harmonic_curvature_values():
 def test_inverse_total_curvature_values():
     assert inverse_total_curvature(3.0, 1.0) == pytest.approx(0.25)
     assert inverse_total_curvature(INFINITE, 7.0) == 0.0
+    with pytest.raises(HypothesisViolation):
+        inverse_total_curvature(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -385,16 +385,16 @@ def test_uniform_minibatch_plan_sentinel_when_unconstrained():
 
 def test_fed_plan_full_coverage_matches_uniform_plan():
     L, mu = 7.0, 0.4
-    fed = fed_plan(n=5, d=9, k=9, s=5, p_empty=0.0, L_h=L, mu_h=mu)
+    fed = fed_plan(n=5, d=9, k=9, s=5, L_h=L, mu_h=mu)
     uni = uniform_minibatch_plan(n=5, s=5, L_f=0.0, max_L_h=L, mu_total=mu)
     assert fed.gamma == pytest.approx(uni.gamma, abs=1e-12)
 
 
 def test_fed_plan_uses_the_compressed_view_empty_probability():
     n, d, k, s, L, mu = 4, 10, 2, 3, 5.0, 1.0
+    plan = fed_plan(n=n, d=d, k=k, s=s, L_h=L, mu_h=mu)
     p_check = compressed_view(UniformMinibatch(n, s), k, d).empty_prob()
     assert p_check == (1.0 - 0.2) ** 3
-    plan = fed_plan(n=n, d=d, k=k, s=s, p_empty=p_check, L_h=L, mu_h=mu)
     active = 1.0 - p_check
     assert plan.gamma == pytest.approx(np.sqrt(k * s * active / (d * n * L * mu)))
     assert plan.complexity == pytest.approx(
@@ -409,8 +409,6 @@ def test_plan_hypothesis_failures():
     with pytest.raises(HypothesisViolation):
         uniform_minibatch_plan(n=4, s=2, L_f=0.0, max_L_h=INFINITE, mu_total=1.0)
     with pytest.raises(HypothesisViolation):
-        fed_plan(n=4, d=10, k=0, s=3, p_empty=0.5, L_h=5.0, mu_h=1.0)
+        fed_plan(n=4, d=10, k=0, s=3, L_h=5.0, mu_h=1.0)
     with pytest.raises(HypothesisViolation):
-        fed_plan(n=4, d=10, k=2, s=3, p_empty=0.5, L_h=5.0, mu_h=0.0)
-    with pytest.raises(HypothesisViolation):
-        fed_plan(n=4, d=10, k=2, s=3, p_empty=1.0, L_h=5.0, mu_h=1.0)
+        fed_plan(n=4, d=10, k=2, s=3, L_h=5.0, mu_h=0.0)
