@@ -58,6 +58,7 @@ from .solver import (
     LyapunovSpec,
     SolverParams,
     _drive,
+    certify_radius,
     derive_params,
     importance_plan,
     initial_state,
@@ -429,6 +430,8 @@ def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
     def trace(r, record):
         rng = generator(cfg.seed + r)
         state = initial_state(instance, x0=x0, track_z=params.track_z)
+        if spec is not None:
+            certify_radius(state, instance, params, spec)
         emit = lambda: record(
             state.t, sq_dist(state, instance),
             None if spec is None else lyapunov(state, instance, params, spec), (0, 0))

@@ -22,11 +22,15 @@ subsets in round order and then each participant's masks for the whole
 block in one call, and every generator stands where drawing those rounds
 one at a time would leave it.
 
-A round works on all participants at once: the proxes come from one
-:meth:`~multiprox.problems.ProblemInstance.prox_rows` call, which solves
-them in one batched call for the generated quadratic families, the kept
-values come from one gather, and the duals and server sums move with one
-scatter each, adding in member order as a per-client loop would.
+A round works on all participants at once: one
+:meth:`~multiprox.problems.ProblemInstance.prox_rows` call with the round's
+masks returns only the kept coordinates of every participant's prox. For
+the generated quadratic families it solves them in one batched call that,
+when every client takes part, reads only the eigenbasis rows behind the
+kept coordinates, bit for bit equal to keeping them from the full prox.
+The duals and server sums then
+move with one scatter each, adding in member order as a per-client loop
+would.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .solver import (
     _check_trust_region,
     _drive,
     _forward,
+    certify_radius,
     derive_params,
     gamma_at,
     initial_state,
@@ -321,9 +326,9 @@ def fed_step(
     if members.size:
         eta = params.eta[members]
         ge = gamma * eta
-        y = instance.prox_rows(members, ge, xhat + ge[:, None] * state.u[members])
         # every participant's kept coordinates, unscaled, in member order
-        values = y[np.arange(members.size)[:, None], masks].ravel() - xhat[cols]
+        kept = instance.prox_rows(members, ge, xhat + ge[:, None] * state.u[members], masks)
+        values = kept.ravel() - xhat[cols]
         # Only the coordinates that survived compression move; the rest of
         # each dual vector stays, so u_i generally leaves the subgradient set.
         state.u[np.repeat(members, fed.k), cols] -= values / np.repeat(ge, fed.k)
@@ -361,6 +366,8 @@ def fed_run(
         rngs = FedRng.from_seed(rngs, instance.n)
     _check_clients(rngs, instance)
     state = initial_state(instance, x0=x0)
+    if fed.spec is not None:
+        certify_radius(state, instance, fed.solver, fed.spec)
     ledger = CommLedger()
 
     def emit():

@@ -27,6 +27,11 @@ Array = np.ndarray
 _ORTHO_TOL = 1e-10
 _OPT_RESIDUAL_TOL = 1e-8
 
+# A kept-row prox product gathers at most this share of each eigenbasis's
+# rows; past it, the full product and one gather of its outputs cost less
+# (at n = d = 100 on one core the two break even near d/5).
+KEPT_ROWS_MAX_SHARE = 0.2
+
 
 class _Infinite:
     """Symbolic 'no finite smoothness constant'. Compares equal only to itself."""
@@ -268,24 +273,58 @@ class ProblemInstance:
     def L_h(self) -> list[Curvature]:
         return [o.L for o in self.h]
 
-    def prox_rows(self, members: Array, gammas: Array, V: Array) -> Array:
+    def prox_rows(self, members: Array, gammas: Array, V: Array,
+                  cols: Array | None = None) -> Array:
         """Row j: the prox of h_{members[j]} with stepsize gammas[j] at V[j].
+
+        With ``cols``, an (m, k) array of sorted coordinates, only those are
+        returned: the (m, k) array ``prox_rows(members, gammas, V)[j, cols[j]]``,
+        equal to it bit for bit.
 
         Generated quadratic families solve every row at once from their
         stacked spectral payload, with the arithmetic of
         :func:`quadratic_prox` (two stacked matrix-vector products), and
         gather no eigenbases when every component is drawn. Any other
-        instance calls its oracles one by one.
+        instance calls its oracles one by one and gathers ``cols`` after.
+
+        With ``cols`` and every component drawn, the first product stays
+        whole and the second reads only the eigenbasis rows
+        :func:`_kept_row_layout` lays out, unless k padded to a multiple of
+        four passes ``KEPT_ROWS_MAX_SHARE`` of d. Otherwise it takes the full
+        product and gathers from it: a round that draws some components
+        copies their eigenbases for the first product, and the second reads
+        that copy from cache, where kept rows cost more than they save (at
+        n = d = 100 and k = 10, 1.03 to 1.4 times the full product's time
+        with 20 down to 2 members).
+
+        The layout copies how the BLAS matrix-vector kernel blocks the full
+        product: rows in blocks of four, then the last d mod 4 rows one by
+        one, each row summed in an order its block position does not
+        change. A BLAS that blocks otherwise breaks the equality, which
+        ``tests/test_problems.py::test_kept_rows_match_the_blas_row_blocking``
+        names.
         """
         if self.kind not in (EXP1, EXP3):
-            return np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
-        if np.any(gammas <= 0):
-            raise ConfigurationError(f"prox needs gamma > 0, got {gammas.min()}")
-        q, lam, b = self.payload["q"], self.payload["lam"], self.payload["b"]
-        if len(members) < self.n:
-            q, lam, b = q[members], lam[members], b[members]
-        w = np.matmul(q.transpose(0, 2, 1), (V + gammas[:, None] * b)[..., None])
-        return np.matmul(q, w / (1.0 + gammas[:, None] * lam)[..., None])[..., 0]
+            y = np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
+        else:
+            if np.any(gammas <= 0):
+                raise ConfigurationError(f"prox needs gamma > 0, got {gammas.min()}")
+            q, lam, b = self.payload["q"], self.payload["lam"], self.payload["b"]
+            gathered = len(members) < self.n
+            if gathered:
+                q, lam, b = q[members], lam[members], b[members]
+            w = np.matmul(q.transpose(0, 2, 1), (V + gammas[:, None] * b)[..., None])
+            w /= (1.0 + gammas[:, None] * lam)[..., None]
+            layout = None
+            if cols is not None and not gathered:
+                layout = _kept_row_layout(cols, self.d)
+            if layout is not None:
+                rows, where = layout
+                pick = np.arange(len(members))[:, None]
+                kept_q = q.reshape(-1, self.d).take(pick * self.d + rows, axis=0)
+                return np.matmul(kept_q, w)[..., 0][pick, where]
+            y = np.matmul(q, w)[..., 0]
+        return y if cols is None else y[np.arange(len(members))[:, None], cols]
 
     def optimality_residual(self) -> float:
         """Norm of grad f(x*) + mean u* (+ mu_g shrinkage when g is a known sqnorm)."""
@@ -293,6 +332,31 @@ class ProblemInstance:
         if self.g.grad_at is not None:
             r = r + self.g.grad_at(self.x_star)
         return float(np.linalg.norm(r))
+
+
+def _kept_row_layout(cols: Array, d: int) -> tuple[Array, Array] | None:
+    """The eigenbasis rows a kept-row product gathers, and where each kept value lands.
+
+    Per member: its k kept rows, padded to a multiple of four by repeating
+    the last, then the full product's last d mod 4 rows, whole and in order.
+    A kept row below d - d mod 4 thus sits in a 4-row block, as in the full
+    product; a kept row in the tail is read from the tail, and its copy in
+    the blocks is ignored, as are the pads. Rows of one block do not mix, so
+    what fills the other places changes no value. The floor of four rows
+    also keeps numpy from taking a dot product in place of the
+    matrix-vector kernel at width one. Returns None when the padded width
+    passes ``KEPT_ROWS_MAX_SHARE`` of d.
+    """
+    m, k = cols.shape
+    width = 4 * -(-k // 4)
+    if width > KEPT_ROWS_MAX_SHARE * d:
+        return None
+    head = d - d % 4
+    rows = cols[:, np.minimum(np.arange(width), k - 1)]
+    if head < d:
+        rows = np.concatenate((rows, np.broadcast_to(np.arange(head, d), (m, d - head))), axis=1)
+    where = np.where(cols < head, np.arange(k), width + cols - head)
+    return rows, where
 
 
 def orthogonal_matrix(d: int, rng: np.random.Generator) -> Array:

@@ -55,6 +55,12 @@ Array = np.ndarray
 
 TRUST_RADIUS = 1e12
 
+# K of a certified run's trust radius ||x*|| + sqrt(K psi_0): its Lyapunov
+# value psi_t bounds ||x_t - x*||^2 and is a nonnegative supermartingale, so
+# by Markov's maximal inequality the run ever leaves that ball with
+# probability at most 1/K.
+CERTIFIED_RADIUS_K = 1e6
+
 
 # ---------------------------------------------------------------------------
 # Stepsize schedules
@@ -125,6 +131,8 @@ class SolverParams:
 class SolverState:
     """Mutable iterate bundle. ``u_bar`` is the cached mean of the rows of ``u``.
 
+    ``radius`` bounds ``||x||`` (see :func:`certify_radius`).
+
     The state also caches ``du_sq[i] = ||u_i - u*_i||^2`` for the Lyapunov
     and dual-error evaluations, with the rows moved since its last refresh
     and the (u, u*) array pair it was built for. Like ``u_bar`` it follows
@@ -140,6 +148,7 @@ class SolverState:
     du_sq: Array | None = field(default=None, init=False, repr=False, compare=False)
     moved: set = field(default_factory=set, init=False, repr=False, compare=False)
     du_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    radius: float = field(default=TRUST_RADIUS, init=False, repr=False, compare=False)
 
 
 def clone_state(state: SolverState) -> SolverState:
@@ -150,6 +159,7 @@ def clone_state(state: SolverState) -> SolverState:
         u_bar=state.u_bar.copy(),
         z=None if state.z is None else state.z.copy(),
     )
+    clone.radius = state.radius
     if state.du_for is not None and state.du_for[0]() is state.u:
         clone.du_sq = state.du_sq.copy()
         clone.moved = set(state.moved)
@@ -340,8 +350,26 @@ def _apply(
 
 def _check_trust_region(state: SolverState) -> None:
     # one fused check: NaN fails the comparison, overflow lands on inf
-    if not float(state.x @ state.x) <= TRUST_RADIUS**2:
+    if not float(state.x @ state.x) <= state.radius**2:
         raise NumericalDivergence("iterate left the trust region", state.t)
+
+
+def certify_radius(
+    state: SolverState,
+    instance: ProblemInstance,
+    params: SolverParams,
+    spec: LyapunovSpec,
+) -> None:
+    """Widen the state's trust radius to ``||x*|| + sqrt(K psi_0 / min(1, x weight))``.
+
+    K is :data:`CERTIFIED_RADIUS_K`; the radius never falls below
+    :data:`TRUST_RADIUS`. A certified run that stays inside its own
+    certificate then trips the check with probability at most 1/K.
+    """
+    psi0 = lyapunov(state, instance, params, spec)
+    reach = math.sqrt(float(instance.x_star @ instance.x_star)) + math.sqrt(
+        CERTIFIED_RADIUS_K * psi0 / min(1.0, spec.x_weight))
+    state.radius = max(TRUST_RADIUS, reach)
 
 
 def step(
@@ -456,6 +484,8 @@ def run(
     """
     if state is None:
         state = initial_state(instance, track_z=params.track_z)
+    if lyapunov_spec is not None:
+        certify_radius(state, instance, params, lyapunov_spec)
 
     def emit():
         if sink is not None:

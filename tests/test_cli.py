@@ -178,8 +178,10 @@ def log_uniform(lo, hi):
 
 
 @st.composite
-def small_configs(draw):
-    experiment = draw(st.sampled_from(["exp1", "exp2", "exp3"]))
+def small_configs(draw, certified=False):
+    # certified: only the experiments whose every arm carries a certificate
+    experiment = draw(st.sampled_from(["exp1", "exp3"] if certified
+                                      else ["exp1", "exp2", "exp3"]))
     cfg = {"experiment": experiment, "seed": draw(st.integers(0, 1000)),
            "d": draw(st.integers(1, 6)), "iterations": draw(st.integers(1, 20)),
            "replicates": draw(st.integers(1, 2))}
@@ -208,6 +210,27 @@ class TestRatesAgreeWithRun:
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 command, payload, result.exception)
         assert (results["run"].exit_code == 2) == (results["rates"].exit_code == 2), payload
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=small_configs(certified=True))
+    def test_a_certified_run_does_not_leave_the_trust_region(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), payload)
+            if CliRunner().invoke(main, ["rates", "--config", cfg]).exit_code != 0:
+                return
+            result = CliRunner().invoke(main, ["run", "--config", cfg])
+        assert "trust region" not in result.output, (payload, result.output)
+
+    def test_a_tiny_mu_run_stays_inside_its_certificate(self, tmp_path):
+        # gamma = 8.9e14 with rho = 1 - 3e-16: ||x_t - x*||^2 reaches 3.7e31,
+        # past a fixed radius of 1e12, while psi_t stays below psi_0 = 4.6e32
+        cfg = write_config(tmp_path, {
+            "experiment": "exp3", "seed": 640, "d": 4, "n": 4, "mu": 2.1488e-31,
+            "l_max": 1.0, "k_values": [1], "iterations": 15, "replicates": 2,
+        })
+        for command in ("rates", "run"):
+            result = CliRunner().invoke(main, [command, "--config", cfg])
+            assert result.exit_code == 0, (command, result.output)
 
     def test_exact_federated_path_refuses_a_rate_without_contraction(self, tmp_path):
         # at mu = 1e-40 the certified factor rounds to 1.0

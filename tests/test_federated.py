@@ -584,34 +584,38 @@ class TestFedRun:
 
     @pytest.mark.parametrize("law", ["full_batch", "minibatch", "independent"])
     def test_stacked_prox_equals_the_oracle_loop_bit_for_bit(self, law):
-        # a generated family proxes every participant in one stacked call;
-        # the same oracles, hand-built, take the per-oracle loop
-        n, d = 7, 6
-        inst = generate_instance("exp3", 11, n=n, d=d, mu=1.0, l_max=20.0)
-        hand_built = ProblemInstance(f=inst.f, g=inst.g, h=inst.h, n=n, d=d,
-                                     x_star=inst.x_star, u_star=inst.u_star)
+        # a generated family proxes every participant in one stacked call,
+        # which at d = 20 and 23 reads only the kept rows for k <= 3 when
+        # every client takes part; the same oracles, hand-built, take the
+        # per-oracle loop
+        n = 7
         dist, gamma = {
             "full_batch": (FullBatch(n), None),
             "minibatch": (UniformMinibatch(n, 3), None),
             "independent": (IndependentParticipation(np.linspace(0.05, 0.5, n)), 0.02),
         }[law]
-        for k in (1, 3, d):
-            fed = derive_fed_params(inst, dist, k, gamma=gamma)
-            runs = []
-            for instance in (inst, hand_built):
-                rows = []
-                state, _, ledger = fed_run(instance, fed, dist, 4, 60, x0=np.full(d, 3.0),
-                                           sink=lambda *row: rows.append(row))
-                runs.append((rows, state, vars(ledger)))
-            (rows, state, ledger), (loop_rows, loop_state, loop_ledger) = runs
-            assert rows == loop_rows
-            assert ledger == loop_ledger
-            for name in ("x", "u", "u_bar"):
-                assert np.array_equal(getattr(state, name), getattr(loop_state, name))
-            if law == "independent":
-                # some rounds drew nobody: the uplink count stood still
-                comm = [row[3] for row in rows]
-                assert any(a == b for a, b in zip(comm, comm[1:]))
+        for d, ks in ((6, (1, 3, 6)), (20, (1, 2, 3, 5)), (23, (1, 2, 3, 5))):
+            inst = generate_instance("exp3", 11, n=n, d=d, mu=1.0, l_max=20.0)
+            hand_built = ProblemInstance(f=inst.f, g=inst.g, h=inst.h, n=n, d=d,
+                                         x_star=inst.x_star, u_star=inst.u_star)
+            for k in ks:
+                fed = derive_fed_params(inst, dist, k, gamma=gamma)
+                runs = []
+                for instance in (inst, hand_built):
+                    rows = []
+                    state, _, ledger = fed_run(instance, fed, dist, 4, 60,
+                                               x0=np.full(d, 3.0),
+                                               sink=lambda *row: rows.append(row))
+                    runs.append((rows, state, vars(ledger)))
+                (rows, state, ledger), (loop_rows, loop_state, loop_ledger) = runs
+                assert rows == loop_rows, (d, k)
+                assert ledger == loop_ledger
+                for name in ("x", "u", "u_bar"):
+                    assert np.array_equal(getattr(state, name), getattr(loop_state, name))
+                if law == "independent":
+                    # some rounds drew nobody: the uplink count stood still
+                    comm = [row[3] for row in rows]
+                    assert any(a == b for a, b in zip(comm, comm[1:]))
 
     @pytest.mark.parametrize("law", ["full_batch", "minibatch", "independent"])
     def test_blocks_drawn_ahead_equal_standalone_rounds(self, law):

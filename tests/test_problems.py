@@ -1,13 +1,16 @@
 """Oracle correctness, instance construction, and serialization."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiprox.errors import ConfigurationError, HypothesisViolation
 from multiprox.problems import (
     INFINITE,
+    KEPT_ROWS_MAX_SHARE,
     ProblemInstance,
     QuadraticForm,
     generate_instance,
@@ -22,6 +25,7 @@ from multiprox.problems import (
     zero_prox,
     zero_smooth,
 )
+from multiprox.problems import _kept_row_layout
 from multiprox.rng import generator
 
 
@@ -301,3 +305,64 @@ def test_custom_instances_validate_shapes():
             f=zero_smooth(), g=zero_prox(), h=(zero_prox(),), n=2, d=3,
             x_star=np.zeros(3), u_star=np.zeros((2, 3)),
         )
+
+
+# ---------------------------------------------------------------------------
+# Batched prox rows
+
+
+@lru_cache(maxsize=None)
+def _exp3_instance(n, d):
+    return generate_instance("exp3", 5, n=n, d=d, mu=1.0, l_max=20.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(d_blocks=st.integers(1, 30), d_rest=st.integers(0, 3), n=st.integers(1, 6),
+       k_rest=st.sampled_from([1, 2, 3, None]), k_share=st.floats(0.0, 1.0),
+       everyone=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# for each d mod 4, one k on each side of the crossover, every component drawn
+@example(d_blocks=6, d_rest=0, n=3, k_rest=1, k_share=0.0, everyone=True, seed=0)
+@example(d_blocks=6, d_rest=1, n=3, k_rest=2, k_share=0.0, everyone=True, seed=1)
+@example(d_blocks=6, d_rest=2, n=3, k_rest=3, k_share=0.0, everyone=True, seed=2)
+@example(d_blocks=6, d_rest=3, n=3, k_rest=1, k_share=0.0, everyone=True, seed=3)
+@example(d_blocks=6, d_rest=0, n=3, k_rest=3, k_share=1.0, everyone=True, seed=4)
+@example(d_blocks=6, d_rest=1, n=3, k_rest=1, k_share=0.5, everyone=True, seed=5)
+@example(d_blocks=6, d_rest=2, n=3, k_rest=2, k_share=0.9, everyone=True, seed=6)
+@example(d_blocks=6, d_rest=3, n=3, k_rest=None, k_share=0.0, everyone=True, seed=7)
+def test_kept_rows_match_the_blas_row_blocking(d_blocks, d_rest, n, k_rest, k_share,
+                                               everyone, seed):
+    # prox_rows with kept columns reads only those rows of each eigenbasis
+    # when every component is drawn; it equals the full product's gather bit
+    # for bit only while the BLAS matrix-vector kernel sums a row in 4-row
+    # blocks and the last d mod 4 rows alone, in an order that its place in
+    # the product does not change
+    d = 4 * d_blocks + d_rest
+    k = d if k_rest is None else min(d, 4 * int(k_share * (d // 4)) + k_rest)
+    inst = _exp3_instance(n, d)
+    rng = np.random.default_rng(seed)
+    members = np.arange(n) if everyone else np.flatnonzero(rng.random(n) < 0.7)
+    if members.size == 0:
+        members = np.arange(n)
+    m = members.size
+    cols = np.sort(np.array([rng.choice(d, k, replace=False) for _ in range(m)]), axis=1)
+    gammas = rng.uniform(0.01, 3.0, size=m)
+    V = 10.0 * rng.standard_normal((m, d))
+    full = inst.prox_rows(members, gammas, V)
+    kept = inst.prox_rows(members, gammas, V, cols)
+    assert kept.shape == (m, k)
+    assert np.array_equal(kept, full[np.arange(m)[:, None], cols])
+    if k_share == 0.0 and k_rest is not None and d >= 4 / KEPT_ROWS_MAX_SHARE:
+        assert _kept_row_layout(cols, d) is not None
+    if k == d:
+        assert _kept_row_layout(cols, d) is None
+
+
+def test_kept_row_layout_pads_the_blocks_and_keeps_the_tail_whole():
+    # d = 22: rows 0-19 form the product's 4-row blocks, 20 and 21 its tail
+    cols = np.array([[3, 7, 21], [0, 20, 21]])
+    rows, where = _kept_row_layout(cols, 22)
+    assert rows.tolist() == [[3, 7, 21, 21, 20, 21], [0, 20, 21, 21, 20, 21]]
+    # each kept value's place in the gathered product: tail rows from the tail
+    assert where.tolist() == [[0, 1, 5], [0, 4, 5]]
+    # past the crossover, the full product is taken
+    assert _kept_row_layout(np.arange(12)[None, :], 22) is None

@@ -58,11 +58,15 @@ from multiprox.rates import rho_n1_simple_g, transfer_cap
 from multiprox.solver import (
     ACCEL_NO_CURVATURE,
     ACCEL_NONEMPTY,
+    CERTIFIED_RADIUS_K,
     LINEAR_SINGLE,
     LINEAR_SMOOTH,
     SIMILARITY,
+    TRUST_RADIUS,
+    _check_trust_region,
     _dual_sq,
     _forward,
+    certify_radius,
     clone_state,
     gamma_at,
 )
@@ -462,6 +466,28 @@ class TestStep:
         with pytest.raises(NumericalDivergence) as exc:
             run(inst, params, FullBatch(1), generator(0), 100, state=state)
         assert exc.value.iteration == 10
+
+    def test_a_certificate_widens_the_trust_region_and_nan_still_fails(self):
+        inst = generate_instance("exp3", 6, n=3, d=4, mu=0.5, l_max=6.0)
+        law = UniformMinibatch(3, 2)
+        params = derive_params(inst, law, Constant(0.1))
+        spec = make_lyapunov_spec(LINEAR_SMOOTH, inst, law, params)
+        # a start past the fixed radius, which the certificate covers
+        state = initial_state(inst, x0=np.full(4, 1e13))
+        psi0 = lyapunov(state, inst, params, spec)
+        certify_radius(state, inst, params, spec)
+        assert spec.x_weight >= 1.0
+        assert state.radius == (math.sqrt(float(inst.x_star @ inst.x_star))
+                                + math.sqrt(CERTIFIED_RADIUS_K * psi0))
+        assert clone_state(state).radius == state.radius > TRUST_RADIUS
+        step(state, inst, params, law, generator(0))
+        state.x[0] = np.nan
+        with pytest.raises(NumericalDivergence):
+            _check_trust_region(state)
+        # a certificate never narrows the fixed radius
+        near = initial_state(inst)
+        certify_radius(near, inst, params, spec)
+        assert near.radius == TRUST_RADIUS
 
 
 class TestForwardPoint:
