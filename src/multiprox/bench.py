@@ -19,8 +19,8 @@ Three experiment families are wired in:
 One pipeline runs them all. ``run_experiment`` resolves the config once,
 filling every unset field from the experiment's defaults (``--scale paper``
 changes exp2's only); ``instance_for`` builds the instance; each family
-sets up its arms, and ``_arm`` turns an arm's per-replicate traces into
-rows, the certified envelope and the aggregate.
+sets up every arm in its arm builder before any arm runs, and ``_arm`` turns
+an arm's per-replicate traces into rows, the certified envelope and the aggregate.
 
 Determinism contract: the instance stream is spawned from the base seed,
 replicate r uses the plain seed ``base_seed + r``, replicates run and
@@ -40,12 +40,12 @@ import os
 from copy import copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .federated import FedRng, derive_fed_params, fed_run
+from .federated import FedParams, FedRng, derive_fed_params, fed_run
 from .problems import ProblemInstance, generate_instance
 from .rates import rate_report, uniform_minibatch_plan
 from .rng import generator, spawn
@@ -416,15 +416,22 @@ def _arm(name: str, cfg: RunConfig, spec: LyapunovSpec | None,
     return ArmResult(name=name, rows=rows, aggregate=aggregate_replicates(rows), info=info)
 
 
-def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
-                dist: SamplingDistribution, params: SolverParams, variant: str | None = None,
+class Arm(NamedTuple):
+    """An arm before it runs: its law, parameters (``FedParams`` for exp3) and certificate."""
+
+    dist: SamplingDistribution
+    params: SolverParams | FedParams
+    spec: LyapunovSpec | None
+
+
+def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance, arm: Arm,
                 x0=None, target: float | None = None) -> ArmResult:
     """Replicate r steps on the plain seed ``cfg.seed + r``; stops early at ``target``.
 
     With a target, the info records the first iteration, logged or not, at
     which each replicate met it (None when it never did).
     """
-    spec = None if variant is None else make_lyapunov_spec(variant, instance, dist, params)
+    dist, params, spec = arm
     hits: list[int | None] = []
 
     def trace(r, record):
@@ -446,32 +453,31 @@ def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
         info["gamma"] = params.schedule.gamma
     if spec is not None and spec.rho is not None:
         info["rho"] = spec.rho
-    arm = _arm(name, cfg, spec, trace, info)
+    result = _arm(name, cfg, spec, trace, info)
     if target is not None:
         info["iterations_to_target"] = hits
         info["mean_iterations_to_target"] = _mean_if_all(hits)
-    return arm
+    return result
 
 
-def _fed_rates(fed) -> dict:
+def _fed_rates(fed: FedParams) -> dict:
     """The certified-rate fields of a federated arm's info and of its rate summary."""
     return {"rho": fed.rho, "gamma": fed.solver.schedule.gamma,
             "p_check_empty": fed.solver.p_bar, "iteration_complexity": fed.iteration_complexity}
 
 
-def _fed_arm(name: str, cfg: RunConfig, instance: ProblemInstance,
-             dist: SamplingDistribution, k: int, x0=None) -> ArmResult:
-    """Compressed rounds with budget k; replicate r streams from ``cfg.seed + r``."""
-    fed = derive_fed_params(instance, dist, k)
+def _fed_arm(name: str, cfg: RunConfig, instance: ProblemInstance, arm: Arm, x0=None) -> ArmResult:
+    """Compressed rounds with the arm's budget; replicate r streams from ``cfg.seed + r``."""
+    dist, fed, spec = arm
 
     def trace(r, record):
         fed_run(instance, fed, dist, FedRng.from_seed(cfg.seed + r, instance.n),
                 cfg.iterations, sink=record, x0=x0, cadence=default_cadence)
 
-    info = {"law": dist.to_config(), "k": k, **_fed_rates(fed)}
-    arm = _arm(name, cfg, fed.spec, trace, info)
-    info["final_uplink_total"] = max((r.comm_total for r in arm.rows), default=0)
-    return arm
+    info = {"law": dist.to_config(), "k": fed.k, **_fed_rates(fed)}
+    result = _arm(name, cfg, spec, trace, info)
+    info["final_uplink_total"] = max((r.comm_total for r in result.rows), default=0)
+    return result
 
 
 def _mean_if_all(hits: list[int | None]) -> float | None:
@@ -526,16 +532,18 @@ def exp1_arms(cfg: RunConfig):
     }
 
 
-def _run_exp1(cfg: RunConfig):
-    instance, arms = exp1_arms(cfg)
+def _exp1_setup(cfg: RunConfig) -> tuple[ProblemInstance, dict[str, Arm]]:
+    instance, laws = exp1_arms(cfg)
+    spec = lambda dist, params: make_lyapunov_spec(LINEAR_SMOOTH, instance, dist, params)
+    return instance, {name: Arm(*law, spec(*law)) for name, law in laws.items()}
+
+
+def _run_exp1(cfg: RunConfig, instance: ProblemInstance, arms: dict[str, Arm]):
     # far common start: keeps the target depth in the rate-dominated regime
     # and the initial error comparable across alpha values
     x0 = np.full(instance.d, 10.0)
-    result_arms = {
-        name: _solver_arm(name, cfg, instance, dist, params, LINEAR_SMOOTH,
-                          x0=x0, target=cfg.target)
-        for name, (dist, params) in arms.items()
-    }
+    result_arms = {name: _solver_arm(name, cfg, instance, arm, x0=x0, target=cfg.target)
+                   for name, arm in arms.items()}
     uni = result_arms["uniform"].info["mean_iterations_to_target"]
     imp = result_arms["importance"].info["mean_iterations_to_target"]
     summary = {
@@ -549,15 +557,13 @@ def _run_exp1(cfg: RunConfig):
 
 
 def exp1_sweep(scale: str = "small", seed: int = 0, out: str | None = None) -> dict:
-    """The full first experiment: one run per alpha, plus the gap summary."""
-    gaps = []
+    """The full first experiment: one run per exp1 preset, plus the gap summary."""
     runs = {}
-    for alpha in (0.95, 0.5, 0.05):
-        sub_out = None if out is None else str(Path(out) / f"alpha-{alpha:g}")
-        res = run_experiment(RunConfig(experiment="exp1", scale=scale, seed=seed,
-                                       alpha=alpha, out=sub_out))
-        runs[alpha] = res
-        gaps.append(res.summary["gap"])
+    for base in PRESETS.values():
+        if base.experiment == "exp1":
+            sub_out = None if out is None else str(Path(out) / f"alpha-{base.alpha:g}")
+            runs[base.alpha] = run_experiment(replace(base, scale=scale, seed=seed, out=sub_out))
+    gaps = [res.summary["gap"] for res in runs.values()]
     widening = all(
         later is not None and earlier is not None and later > earlier
         for earlier, later in zip(gaps, gaps[1:])
@@ -614,7 +620,17 @@ def exp2_verdict(grid: list[ArmResult], adaptive: ArmResult) -> tuple[int, bool]
     return best, _final_mean(adaptive) <= finals[best]
 
 
-def _run_exp2(cfg: RunConfig):
+def _exp2_setup(cfg: RunConfig) -> tuple[ProblemInstance, dict[str, Arm]]:
+    instance = instance_for(cfg)
+    dist = UniformMinibatch(instance.n, 1)
+    arms = {f"grid-{i:02d}": Arm(dist, derive_params(instance, dist, Constant(gamma)), None)
+            for i, gamma in enumerate(cfg.grid)}
+    params = derive_params(instance, dist, Adaptive(mu=cfg.mu, a=cfg.a_offset))
+    spec = make_lyapunov_spec(ACCEL_NONEMPTY, instance, dist, params)
+    return instance, {**arms, "adaptive": Arm(dist, params, spec)}
+
+
+def _run_exp2(cfg: RunConfig, instance: ProblemInstance, arms: dict[str, Arm]):
     """Stepsize grid against the adaptive schedule, judged by ``exp2_verdict``.
 
     Every arm's info records its iterations to the float64 floor of the
@@ -622,16 +638,8 @@ def _run_exp2(cfg: RunConfig):
     first when the verdict races to it, and the arm with the lowest final
     mean otherwise.
     """
-    instance = instance_for(cfg)
-    dist = UniformMinibatch(instance.n, 1)
-    grid_arms = [
-        _solver_arm(f"grid-{i:02d}", cfg, instance, dist,
-                    derive_params(instance, dist, Constant(gamma)))
-        for i, gamma in enumerate(cfg.grid)
-    ]
-    adaptive_params = derive_params(instance, dist, Adaptive(mu=cfg.mu, a=cfg.a_offset))
-    adaptive = _solver_arm("adaptive", cfg, instance, dist, adaptive_params, ACCEL_NONEMPTY)
-    result_arms = {arm.name: arm for arm in [*grid_arms, adaptive]}
+    result_arms = {name: _solver_arm(name, cfg, instance, arm) for name, arm in arms.items()}
+    *grid_arms, adaptive = result_arms.values()
     floor = float64_floor(instance)
     for arm in result_arms.values():
         arm.info.update(floor_info(arm.rows, floor))
@@ -651,15 +659,19 @@ def _run_exp2(cfg: RunConfig):
 # Experiment 3: compressed federated runs over a coordinate-budget grid
 
 
-def _run_exp3(cfg: RunConfig):
+def _exp3_setup(cfg: RunConfig) -> tuple[ProblemInstance, dict[str, Arm]]:
     instance = instance_for(cfg)
     for k in cfg.k_values:
         if not 1 <= k <= instance.d:
             raise ConfigurationError(f"coordinate budget {k} outside [1, {instance.d}]")
     dist = FullBatch(instance.n)
+    feds = [derive_fed_params(instance, dist, k) for k in cfg.k_values]
+    return instance, {f"k-{fed.k}": Arm(dist, fed, fed.spec) for fed in feds}
+
+
+def _run_exp3(cfg: RunConfig, instance: ProblemInstance, arms: dict[str, Arm]):
     x0 = np.full(instance.d, 10.0)
-    result_arms = {f"k-{k}": _fed_arm(f"k-{k}", cfg, instance, dist, k, x0=x0)
-                   for k in cfg.k_values}
+    result_arms = {name: _fed_arm(name, cfg, instance, arm, x0=x0) for name, arm in arms.items()}
     by_k = {str(arm.info["k"]): arm for arm in result_arms.values()}
     summary = {
         "k_values": cfg.k_values,
@@ -674,13 +686,17 @@ def _run_exp3(cfg: RunConfig):
 # Entry points
 
 
-_RUNNERS = {"exp1": _run_exp1, "exp2": _run_exp2, "exp3": _run_exp3}
+# Per experiment, the arm builder that makes every arm's checks, so that a refused arm
+# stops a run before any arm runs and ``rate_summaries`` refuses alike, and the runner.
+_EXPERIMENTS = {"exp1": (_exp1_setup, _run_exp1), "exp2": (_exp2_setup, _run_exp2),
+                "exp3": (_exp3_setup, _run_exp3)}
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
     """Run one configured experiment end to end; the result holds the resolved config."""
     cfg = _resolved(cfg)
-    arms, summary = _RUNNERS[cfg.experiment](cfg)
+    setup, runner = _EXPERIMENTS[cfg.experiment]
+    arms, summary = runner(cfg, *setup(cfg))
     result = ExperimentResult(config=cfg, arms=arms, summary=summary)
     _write_arm_files(result, cfg.out)
     return result
@@ -689,29 +705,13 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
 def rate_summaries(cfg: RunConfig) -> dict[str, dict | str]:
     """Certified-rate reports for every arm of a config that has one."""
     cfg = _resolved(cfg)
-    out: dict[str, dict | str] = {}
+    instance, arms = _EXPERIMENTS[cfg.experiment][0](cfg)
     if cfg.experiment == "exp1":
-        instance, arms = exp1_arms(cfg)
-        for name, (dist, params) in arms.items():
-            out[name] = rate_report(rate_inputs_from(instance, dist, params))
-    elif cfg.experiment == "exp2":
-        # the checks `run` makes of the adaptive arm, so both refuse alike
-        instance = instance_for(cfg)
-        dist = UniformMinibatch(instance.n, 1)
-        params = derive_params(instance, dist, Adaptive(mu=cfg.mu, a=cfg.a_offset))
-        make_lyapunov_spec(ACCEL_NONEMPTY, instance, dist, params)
-        out["grid"] = ("no certified linear rate: components have no finite "
-                       "smoothness constant")
-        out["adaptive"] = {
-            "kind": "decreasing-stepsize envelope",
-            "mu": cfg.mu,
-            "a": cfg.a_offset,
-            "envelope": "((a - 1) / (a + t - 1))^2 of the initial Lyapunov value",
-        }
-    else:
-        instance = instance_for(cfg)
-        dist = FullBatch(instance.n)
-        for k in cfg.k_values:
-            out[f"k-{k}"] = {"kind": "federated",
-                             **_fed_rates(derive_fed_params(instance, dist, k))}
-    return out
+        return {name: rate_report(rate_inputs_from(instance, arm.dist, arm.params))
+                for name, arm in arms.items()}
+    if cfg.experiment == "exp3":
+        return {name: {"kind": "federated", **_fed_rates(arm.params)}
+                for name, arm in arms.items()}
+    return {"grid": "no certified linear rate: components have no finite smoothness constant",
+            "adaptive": {"kind": "decreasing-stepsize envelope", "mu": cfg.mu, "a": cfg.a_offset,
+                         "envelope": "((a - 1) / (a + t - 1))^2 of the initial Lyapunov value"}}

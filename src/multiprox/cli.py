@@ -15,10 +15,10 @@ import click
 
 from .bench import (
     EXPERIMENTS,
+    PRESETS,
     SCALES,
     exp1_sweep,
     load_config,
-    preset,
     rate_summaries,
     run_experiment,
 )
@@ -110,14 +110,13 @@ def bench(experiment, scale, out):
                 "gap_widens_monotonically": sweep["gap_widens_monotonically"],
             })
         elif experiment == "exp2":
-            cfg = replace(preset("exp2"), scale=scale, out=out)
-            _echo_json(run_experiment(cfg).summary)
+            _echo_json(run_experiment(replace(PRESETS["exp2"], scale=scale, out=out)).summary)
         else:
             payload = {}
-            for name in ("exp3-L50", "exp3-L500", "exp3-L5000"):
-                sub_out = None if out is None else str(Path(out) / name)
-                cfg = replace(preset(name), scale=scale, out=sub_out)
-                payload[name] = run_experiment(cfg).summary
+            for name, cfg in PRESETS.items():
+                if cfg.experiment == "exp3":
+                    sub_out = None if out is None else str(Path(out) / name)
+                    payload[name] = run_experiment(replace(cfg, scale=scale, out=sub_out)).summary
             _echo_json(payload)
 
     _guarded(body)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolation
+from .errors import ConfigurationError, HypothesisViolation
 from .problems import Curvature, INFINITE, harmonic_curvature, is_infinite
 from .sampling import UniformMinibatch, compressed_view
 
@@ -342,11 +342,14 @@ def fed_plan(
         raise HypothesisViolation(f"need 1 <= k <= d and 1 <= s <= n, got k={k}, s={s}")
     active = 1.0 - compressed_view(UniformMinibatch(n, s), k, d).empty_prob()
     if gamma is None:
-        gamma = math.sqrt(k * s * active / (d * n * L_h * mu_h))
-    iteration = (
-        1.0 / (gamma * mu_h)
-        + 1.0 / active
-        + d * n / (k * s)
-        + d * n * gamma * L_h / (k * s * active)
-    )
+        curvature = d * n * L_h * mu_h
+        # an under- or overflowed curvature plans a stepsize of 0, refused below
+        gamma = math.sqrt(k * s * active / curvature) if 0 < curvature < math.inf else 0.0
+    terms = (gamma * mu_h, d * n * gamma * L_h / (k * s * active))
+    if not all(0 < term < math.inf for term in terms):
+        raise ConfigurationError(
+            f"federated stepsize {gamma:g} with L_h = {L_h:g} and mu_h = {mu_h:g}: "
+            "its rate terms under- or overflow float64"
+        )
+    iteration = 1.0 / terms[0] + 1.0 / active + d * n / (k * s) + terms[1]
     return StepsizePlan(gamma=gamma, complexity=iteration)

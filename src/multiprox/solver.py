@@ -439,8 +439,8 @@ def _drive(
 ) -> int | None:
     """The run loop: T calls of ``advance``, each moving ``state`` one step.
 
-    ``emit`` fires at the start and then at every t selected by ``cadence``
-    (an every-k integer or a predicate), always including t = T. ``stop`` is
+    ``emit`` fires at the start t0 and then at every t selected by ``cadence``
+    (an every-k integer or a predicate), always including t0 + T. ``stop`` is
     asked at the start and after every step; when it holds, the loop ends
     there, with that t emitted. Returns the iteration at which it stopped,
     None when it ran all T steps.
@@ -452,6 +452,7 @@ def _drive(
         selected = lambda t: t % every == 0
     else:
         selected = cadence
+    end = state.t + T
     emit()
     if stop is not None and stop():
         return state.t
@@ -460,7 +461,7 @@ def _drive(
         if stop is not None and stop():
             emit()
             return state.t
-        if state.t == T or selected(state.t):
+        if state.t == end or selected(state.t):
             emit()
     return None
 
@@ -478,9 +479,10 @@ def run(
 ) -> SolverState:
     """Run T iterations, reporting (t, squared distance, Lyapunov, dual error).
 
-    The sink fires at t = 0 and then at every t selected by ``cadence`` (an
-    every-k integer or a predicate), always including t = T. Metrics are only
-    computed when the sink fires, so sparse cadences keep long runs cheap.
+    The sink fires at the start t0 (0 unless ``state`` is given) and then at
+    every t selected by ``cadence`` (an every-k integer or a predicate),
+    always including t0 + T. Metrics are only computed when the sink fires,
+    so sparse cadences keep long runs cheap.
     """
     if state is None:
         state = initial_state(instance, track_z=params.track_z)

@@ -7,10 +7,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multiprox import bench
 from multiprox.bench import preset
 from multiprox.cli import main
 
@@ -127,6 +129,47 @@ class TestRun:
         for command in ("run", "rates"):
             assert "seed" in CliRunner().invoke(main, [command, "--config", cfg]).output
 
+    @pytest.mark.parametrize("payload", [
+        # d n L_h mu_h overflows, so the planned stepsize was 0 and the
+        # complexity divided by it
+        {"experiment": "exp3", "n": 3, "d": 3, "l_max": 1e308, "k_values": [1, 3]},
+        # the same product underflows to 0
+        {"experiment": "exp3", "n": 3, "d": 3, "mu": 1e-300, "l_max": 2e-300,
+         "k_values": [1, 3]},
+    ])
+    def test_a_federated_plan_that_under_or_overflows_is_an_error(self, tmp_path, payload):
+        cfg = write_config(tmp_path, {**payload, "replicates": 1, "iterations": 50})
+        for command in ("run", "rates"):
+            result = CliRunner().invoke(main, [command, "--config", cfg])
+            assert isinstance(result.exception, SystemExit), (command, result.exception)
+            assert result.exit_code == 1, (command, result.output)
+            assert "error:" in result.output and "under- or overflow" in result.output
+
+    def test_a_budget_past_d_is_refused_before_any_arm_is_derived(self, tmp_path):
+        # k = 1 alone has no contraction at this mu, which `rates` once
+        # reported with exit 2 because it skipped the budget check
+        cfg = write_config(tmp_path, {
+            "experiment": "exp3", "n": 3, "d": 3, "mu": 1e-300, "l_max": 1.0,
+            "k_values": [1, 4], "replicates": 1, "iterations": 50,
+        })
+        outputs = []
+        for command in ("run", "rates"):
+            result = CliRunner().invoke(main, [command, "--config", cfg])
+            assert result.exit_code == 1, (command, result.output)
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1] == "error: coordinate budget 4 outside [1, 3]\n"
+
+    def test_a_bad_adaptive_arm_is_refused_before_the_grid_runs(self, tmp_path, monkeypatch):
+        steps = []
+        original = bench.step
+        monkeypatch.setattr(bench, "step", lambda *args: steps.append(1) or original(*args))
+        cfg = write_config(tmp_path, {"experiment": "exp2", "d": 200, "a_offset": 5.0,
+                                      "replicates": 2, "iterations": 20000})
+        result = CliRunner().invoke(main, ["run", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "rejected: schedule offset must exceed 5" in result.output
+        assert steps == []
+
 
 RATES_GOLDEN = {
     "exp1-alpha005": "4343e7f89540242db155611a96a08f5a1f9e91246226f8056c840982e84a61df",
@@ -192,14 +235,20 @@ def small_configs(draw, certified=False):
         cfg.update(mu=draw(log_uniform(1e-300, 1e2)), a_offset=draw(log_uniform(1.0, 1e4)),
                    grid=[0.5])
     else:
+        # k = d + 1 is refused by the budget check that `run` and `rates` share
         cfg.update(n=draw(st.integers(1, 6)), mu=draw(log_uniform(1e-300, 1e2)),
-                   l_max=draw(log_uniform(1e-3, 1e6)), k_values=[1])
+                   l_max=draw(log_uniform(1e-3, 1e6)),
+                   k_values=draw(st.lists(st.integers(1, cfg["d"] + 1), min_size=1,
+                                          max_size=2, unique=True)))
     return cfg
 
 
 class TestRatesAgreeWithRun:
     @settings(max_examples=60, deadline=None)
     @given(payload=small_configs())
+    # k = 1 has no contraction at this mu and k = 4 exceeds d
+    @example(payload={"experiment": "exp3", "seed": 0, "n": 3, "d": 3, "mu": 1e-300,
+                      "l_max": 1.0, "k_values": [1, 4], "replicates": 1, "iterations": 5})
     def test_rates_refuses_exactly_when_run_refuses(self, payload):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), payload)
@@ -253,3 +302,43 @@ class TestBench:
     def test_rejects_unknown_experiment(self):
         result = CliRunner().invoke(main, ["bench", "exp9"])
         assert result.exit_code != 0
+
+    # each preset shrunk to a few steps; alpha and l_max stay the preset's
+    TINY = {"exp1": dict(n=4, d=4, replicates=1, iterations=200),
+            "exp2": dict(d=4, grid=[0.5], replicates=1, iterations=30),
+            "exp3": dict(n=4, d=4, k_values=[1, 2], replicates=1, iterations=30)}
+
+    @pytest.mark.parametrize("experiment, runs", [
+        ("exp1", {"alpha-0.95": "exp1", "alpha-0.5": "exp1", "alpha-0.05": "exp1"}),
+        ("exp2", {".": "exp2"}),
+        ("exp3", {name: "exp3" for name in ("exp3-L50", "exp3-L500", "exp3-L5000")}),
+    ])
+    def test_runs_every_preset_into_its_directory(self, tmp_path, monkeypatch,
+                                                  experiment, runs):
+        for name, cfg in bench.PRESETS.items():
+            monkeypatch.setitem(bench.PRESETS, name,
+                                dataclasses.replace(cfg, **self.TINY[cfg.experiment]))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["bench", experiment, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(
+            run for run in runs if run != ".")
+        summaries = {run: json.loads((out / run / f"{exp}-summary.json").read_text())
+                     for run, exp in runs.items()}
+        # every run is its shrunk preset: one replicate, numbered 0
+        for run in runs:
+            for trace in (out / run).glob("*[!g].csv"):
+                rows = trace.read_text().splitlines()[1:]
+                assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}, trace
+        if experiment == "exp1":
+            assert set(payload) == {"per_alpha", "gaps", "gap_widens_monotonically"}
+            assert payload["per_alpha"] == {
+                run.removeprefix("alpha-"): summary for run, summary in summaries.items()}
+            assert payload["gaps"] == [summary["gap"] for summary in summaries.values()]
+        elif experiment == "exp2":
+            assert payload == summaries["."]
+            assert payload["grid"] == [0.5]
+        else:
+            assert payload == summaries
+            assert all(summary["k_values"] == [1, 2] for summary in payload.values())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiprox.errors import HypothesisViolation
+from multiprox.errors import ConfigurationError, HypothesisViolation
 from multiprox.problems import INFINITE
 from multiprox.rates import (
     RateInputs,
@@ -412,3 +412,14 @@ def test_plan_hypothesis_failures():
         fed_plan(n=4, d=10, k=0, s=3, L_h=5.0, mu_h=1.0)
     with pytest.raises(HypothesisViolation):
         fed_plan(n=4, d=10, k=2, s=3, L_h=5.0, mu_h=0.0)
+
+
+@pytest.mark.parametrize("L, mu, gamma", [
+    (1e308, 1.0, None),   # d n L mu overflows: the planned stepsize is 0
+    (2e-300, 1e-300, None),  # d n L mu underflows to 0
+    (1e-10, 1e-300, 1e-30),  # a given stepsize whose gamma mu underflows
+    (1e300, 1.0, 1e10),   # a given stepsize whose gamma L term overflows
+])
+def test_fed_plan_refuses_terms_that_under_or_overflow(L, mu, gamma):
+    with pytest.raises(ConfigurationError, match="under- or overflow"):
+        fed_plan(n=3, d=3, k=1, s=3, L_h=L, mu_h=mu, gamma=gamma)

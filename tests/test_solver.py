@@ -1050,6 +1050,20 @@ class TestRun:
         )
         assert [r[0] for r in rows] == [0, 5, 10, 12]
 
+    def test_a_resumed_run_reports_its_start_and_its_last_step(self):
+        # the last row is at t0 + T; at t = T it was missed and never emitted
+        inst = generate_instance("exp3", 6, n=3, d=4, mu=0.5, l_max=6.0)
+        law = UniformMinibatch(3, 1)
+        params = derive_params(inst, law, Constant(0.1))
+        state = run(inst, params, law, generator(0), 3)
+        rows, final = self.collect(
+            instance=inst, params=params, dist=law, rng=generator(1), T=5,
+            state=state, cadence=100,
+        )
+        assert [r[0] for r in rows] == [3, 8]
+        assert final.t == 8
+        assert rows[-1][1] == sq_dist(final, inst)
+
     def test_predicate_cadence(self):
         inst = generate_instance("exp3", 6, n=3, d=4, mu=0.5, l_max=6.0)
         law = UniformMinibatch(3, 1)
