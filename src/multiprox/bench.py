@@ -34,7 +34,6 @@ on it.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 from copy import copy
@@ -58,6 +57,7 @@ from .solver import (
     LyapunovSpec,
     SolverParams,
     _drive,
+    _is_real,
     certify_radius,
     derive_params,
     importance_plan,
@@ -94,11 +94,6 @@ _REAL_KEYS = ("target", "alpha", "l_max", "mu", "a_offset")
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _is_list_of(value, check) -> bool:

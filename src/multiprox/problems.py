@@ -245,23 +245,25 @@ class ProblemInstance:
     vector per component, row i lying in the subdifferential of h_i at
     ``x_star`` with grad f(x*) + mean(u_star) + (subgradient of g) = 0.
     ``delta`` is an optional known similarity bound between the h_i; it is
-    never estimated from data.
+    never estimated from data. The number of components ``n`` is ``len(h)``
+    and the dimension ``d`` is ``x_star.size``; both are set here, not
+    passed. ``payload`` holds the arrays a generated family was drawn from
+    and that no oracle exposes.
     """
 
     f: SmoothOracle
     g: ProxOracle
     h: tuple[ProxOracle, ...]
-    n: int
-    d: int
     x_star: Array
     u_star: Array
     delta: float | None = None
-    kind: str = "custom"
     payload: dict = field(default_factory=dict, repr=False)
+    n: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.h) != self.n:
-            raise ConfigurationError(f"{len(self.h)} component oracles for n={self.n}")
+        object.__setattr__(self, "n", len(self.h))
+        object.__setattr__(self, "d", self.x_star.size)
         if self.x_star.shape != (self.d,) or self.u_star.shape != (self.n, self.d):
             raise ConfigurationError("reference solution shapes do not match (n, d)")
 
@@ -281,10 +283,11 @@ class ProblemInstance:
         returned: the (m, k) array ``prox_rows(members, gammas, V)[j, cols[j]]``,
         equal to it bit for bit.
 
-        Generated quadratic families solve every row at once from their
-        stacked spectral payload, with the arithmetic of
-        :func:`quadratic_prox` (two stacked matrix-vector products), and
-        gather no eigenbases when every component is drawn. Any other
+        An instance whose payload holds the stacked spectral arrays ``q``,
+        ``lam`` and ``b`` of its components, as the generated quadratic
+        families do, solves every row at once from them with the arithmetic
+        of :func:`quadratic_prox` (two stacked matrix-vector products), and
+        gathers no eigenbases when every component is drawn. Any other
         instance calls its oracles one by one and gathers ``cols`` after.
 
         With ``cols`` and every component drawn, the first product stays
@@ -304,7 +307,7 @@ class ProblemInstance:
         ``tests/test_problems.py::test_kept_rows_match_the_blas_row_blocking``
         names.
         """
-        if self.kind not in (EXP1, EXP3):
+        if not {"q", "lam", "b"} <= self.payload.keys():
             y = np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
         else:
             if np.any(gammas <= 0):
@@ -384,10 +387,6 @@ def _refined_solve(m: Array, rhs: Array) -> Array:
 # ---------------------------------------------------------------------------
 # Generated families
 
-EXP1 = "exp1"
-EXP2 = "exp2"
-EXP3 = "exp3"
-
 
 def _draw_spectral_components(
     rng: np.random.Generator,
@@ -428,41 +427,41 @@ def _solve_reference(f_diag: Array | None, qs: Array, lams: Array, bs: Array):
     return x_star, u_star
 
 
-def _assemble_quadratic_family(kind: str, payload: dict) -> ProblemInstance:
-    qs, lams, bs = payload["q"], payload["lam"], payload["b"]
-    n, d = lams.shape
-    f_diag = payload.get("f_diag")
-    if f_diag is not None:
-        diag = f_diag
-        f = SmoothOracle(
-            grad=lambda x, _diag=diag: _diag * x,
-            L=float(diag.max()),
-            mu=float(diag.min()),
+def _checked(instance: ProblemInstance) -> ProblemInstance:
+    """Refuse a generated instance whose reference misses its optimality condition."""
+    residual = instance.optimality_residual()
+    if not np.isfinite(residual):
+        raise ConfigurationError(
+            f"the generated reference under- or overflows float64 (residual {residual})"
         )
-    else:
+    if residual > _OPT_RESIDUAL_TOL:
+        raise ConfigurationError(f"reference solve residual {residual:.3e} above tolerance")
+    return instance
+
+
+def _quadratic_family(f_diag: Array | None, qs: Array, lams: Array, bs: Array,
+                      mu_nominal: Array, l_nominal: Array) -> ProblemInstance:
+    """The instance f + mean_i QuadraticForm(qs[i], lams[i], bs[i]) with its reference.
+
+    f is diag(f_diag) as a quadratic, or zero when ``f_diag`` is None; each
+    component carries its nominal constants ``mu_nominal[i]`` and
+    ``l_nominal[i]``.
+    """
+    x_star, u_star = _solve_reference(f_diag, qs, lams, bs)
+    if f_diag is None:
         f = zero_smooth()
+    else:
+        f = SmoothOracle(grad=lambda x: f_diag * x,
+                         L=float(f_diag.max()), mu=float(f_diag.min()))
     h = tuple(
         QuadraticForm(qs[i], lams[i], bs[i]).as_oracle(
-            mu=float(payload["mu_nominal"][i]), L=float(payload["l_nominal"][i])
+            mu=float(mu_nominal[i]), L=float(l_nominal[i])
         )
-        for i in range(n)
+        for i in range(len(lams))
     )
-    instance = ProblemInstance(
-        f=f,
-        g=zero_prox(),
-        h=h,
-        n=n,
-        d=d,
-        x_star=payload["x_star"],
-        u_star=payload["u_star"],
-        kind=kind,
-        payload=payload,
-    )
-    if instance.optimality_residual() > _OPT_RESIDUAL_TOL:
-        raise ConfigurationError(
-            f"reference solve residual {instance.optimality_residual():.3e} above tolerance"
-        )
-    return instance
+    payload = {"q": qs, "lam": lams, "b": bs, "f_diag": f_diag}
+    return _checked(ProblemInstance(f=f, g=zero_prox(), h=h, x_star=x_star,
+                                    u_star=u_star, payload=payload))
 
 
 def generate_exp1(
@@ -490,13 +489,7 @@ def generate_exp1(
         eig_low=np.zeros(n), eig_high=l_nominal,
         zero_count=int(round(0.2 * d)), b_high=1.0,
     )
-    x_star, u_star = _solve_reference(f_diag, qs, lams, bs)
-    payload = {
-        "q": qs, "lam": lams, "b": bs, "f_diag": f_diag,
-        "l_nominal": l_nominal, "mu_nominal": np.zeros(n),
-        "x_star": x_star, "u_star": u_star,
-    }
-    return _assemble_quadratic_family(EXP1, payload)
+    return _quadratic_family(f_diag, qs, lams, bs, np.zeros(n), l_nominal)
 
 
 def generate_exp3(
@@ -517,35 +510,7 @@ def generate_exp3(
         eig_low=np.full(n, mu), eig_high=np.full(n, l_max),
         zero_count=0, b_high=l_max,
     )
-    x_star, u_star = _solve_reference(None, qs, lams, bs)
-    payload = {
-        "q": qs, "lam": lams, "b": bs, "f_diag": None,
-        "l_nominal": np.full(n, l_max), "mu_nominal": np.full(n, mu),
-        "x_star": x_star, "u_star": u_star,
-    }
-    return _assemble_quadratic_family(EXP3, payload)
-
-
-def _assemble_hyperplane_family(payload: dict, mu: float) -> ProblemInstance:
-    w, offsets = payload["w"], payload["b"]
-    d = w.shape[0]
-    h = tuple(hyperplane_ridge(w[i], float(offsets[i]), mu) for i in range(d))
-    instance = ProblemInstance(
-        f=zero_smooth(),
-        g=zero_prox(),
-        h=h,
-        n=d,
-        d=d,
-        x_star=payload["x_star"],
-        u_star=payload["u_star"],
-        kind=EXP2,
-        payload=payload,
-    )
-    if instance.optimality_residual() > _OPT_RESIDUAL_TOL:
-        raise ConfigurationError(
-            f"hyperplane reference residual {instance.optimality_residual():.3e} above tolerance"
-        )
-    return instance
+    return _quadratic_family(None, qs, lams, bs, np.full(n, mu), np.full(n, l_max))
 
 
 def generate_exp2(
@@ -567,11 +532,12 @@ def generate_exp2(
     offsets = w @ x_star
     lam = -d * mu * offsets
     u_star = mu * x_star[None, :] + lam[:, None] * w
-    payload = {"w": w, "b": offsets, "x_star": x_star, "u_star": u_star}
-    return _assemble_hyperplane_family(payload, mu)
+    h = tuple(hyperplane_ridge(w[i], float(offsets[i]), mu) for i in range(d))
+    return _checked(ProblemInstance(f=zero_smooth(), g=zero_prox(), h=h, x_star=x_star,
+                                    u_star=u_star, payload={"w": w, "b": offsets}))
 
 
-_GENERATORS = {EXP1: generate_exp1, EXP2: generate_exp2, EXP3: generate_exp3}
+_GENERATORS = {"exp1": generate_exp1, "exp2": generate_exp2, "exp3": generate_exp3}
 
 
 def generate_instance(kind: str, rng: np.random.Generator | int, **params) -> ProblemInstance:

@@ -54,11 +54,8 @@ class SamplingDistribution:
     def empty_prob(self) -> float:
         raise NotImplementedError
 
-    def is_exchangeable(self) -> bool:
-        """True when the law is invariant under index permutation."""
-        return False
-
     def _tilde_closed_form(self) -> Array | None:
+        """tilde_p when the law gives it without enumeration, else None."""
         return None
 
     def enumerate_support(self) -> Support:
@@ -75,10 +72,7 @@ class SamplingDistribution:
         if self._tilde is None:
             closed = self._tilde_closed_form()
             if closed is None:
-                if self.is_exchangeable():
-                    closed = np.full(self.n, 1.0 / self.n)
-                else:
-                    closed = _tilde_from_support(self.n, self.enumerate_support())
+                closed = _tilde_from_support(self.n, self.enumerate_support())
             self._tilde = closed
         return self._tilde
 
@@ -138,8 +132,9 @@ class UniformMinibatch(SamplingDistribution):
     def empty_prob(self) -> float:
         return 0.0
 
-    def is_exchangeable(self) -> bool:
-        return True
+    def _tilde_closed_form(self) -> Array:
+        # uniform by symmetry
+        return np.full(self.n, 1.0 / self.n)
 
     def enumerate_support(self) -> Support:
         self._check_enumerable()
@@ -190,9 +185,6 @@ class SingletonWeighted(SamplingDistribution):
     def empty_prob(self) -> float:
         return 0.0
 
-    def is_exchangeable(self) -> bool:
-        return bool(np.allclose(self.q, 1.0 / self.n, rtol=0.0, atol=_PROB_TOL))
-
     def _tilde_closed_form(self) -> Array:
         return self.q.copy()
 
@@ -225,8 +217,11 @@ class IndependentParticipation(SamplingDistribution):
     def empty_prob(self) -> float:
         return float(np.prod(1.0 - self.r))
 
-    def is_exchangeable(self) -> bool:
-        return bool(np.allclose(self.r, self.r[0], rtol=0.0, atol=_PROB_TOL))
+    def _tilde_closed_form(self) -> Array | None:
+        # uniform by symmetry when every r_i is the same
+        if np.allclose(self.r, self.r[0], rtol=0.0, atol=_PROB_TOL):
+            return np.full(self.n, 1.0 / self.n)
+        return None
 
     def enumerate_support(self) -> Support:
         self._check_enumerable()
@@ -342,8 +337,11 @@ class ThinnedView(SamplingDistribution):
         return sum(prob * drop ** len(members)
                    for members, prob in base.enumerate_support())
 
-    def is_exchangeable(self) -> bool:
-        return self.base.is_exchangeable()
+    def _tilde_closed_form(self) -> Array | None:
+        # Every closed form is uniform by symmetry or a singleton law's q;
+        # independent thinning keeps the symmetry, and keeps a singleton's
+        # conditional weights q_i * keep / keep.
+        return self.base._tilde_closed_form()
 
     def enumerate_support(self) -> Support:
         self._check_enumerable()

@@ -22,6 +22,7 @@ runs reproducible and lets reference implementations align stream for stream.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,12 +67,20 @@ CERTIFIED_RADIUS_K = 1e6
 # Stepsize schedules
 
 
+def _is_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class Constant:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not _is_real(self.gamma):
+            raise ConfigurationError(f"stepsize must be a finite real number, got {self.gamma!r}")
+        if not self.gamma > 0:
             raise ConfigurationError(f"stepsize must be positive, got {self.gamma}")
 
 
@@ -83,9 +92,14 @@ class Adaptive:
     a: float
 
     def __post_init__(self):
-        if self.mu <= 0:
+        for name, value in (("curvature", self.mu), ("offset", self.a)):
+            if not _is_real(value):
+                raise ConfigurationError(
+                    f"schedule {name} must be a finite real number, got {value!r}"
+                )
+        if not self.mu > 0:
             raise ConfigurationError(f"schedule curvature must be positive, got {self.mu}")
-        if self.a <= 5:
+        if not self.a > 5:
             # the envelope certificate needs a > 5
             raise HypothesisViolation(f"schedule offset must exceed 5, got {self.a}")
 

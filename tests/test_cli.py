@@ -145,6 +145,17 @@ class TestRun:
             assert result.exit_code == 1, (command, result.output)
             assert "error:" in result.output and "under- or overflow" in result.output
 
+    def test_a_generated_reference_that_overflows_is_an_error(self, tmp_path):
+        # -d mu W x* overflows, so u* held +-inf; `run` then died on a zero
+        # stepsize and `rates` printed a report
+        cfg = write_config(tmp_path, {"experiment": "exp2", "d": 3, "mu": 1e308,
+                                      "grid": [0.5], "replicates": 1, "iterations": 50})
+        for command in ("run", "rates"):
+            result = CliRunner().invoke(main, [command, "--config", cfg])
+            assert isinstance(result.exception, SystemExit), (command, result.exception)
+            assert result.exit_code == 1, (command, result.output)
+            assert "error:" in result.output and "under- or overflow" in result.output
+
     def test_a_budget_past_d_is_refused_before_any_arm_is_derived(self, tmp_path):
         # k = 1 alone has no contraction at this mu, which `rates` once
         # reported with exit 2 because it skipped the budget check

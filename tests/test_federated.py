@@ -224,6 +224,19 @@ class TestDeriveFedParams:
         with pytest.raises(HypothesisViolation):
             derive_fed_params(inst, SingletonWeighted([0.2, 0.3, 0.5]), 2)
 
+    def test_a_weighted_singleton_law_past_the_enumeration_cap_derives(self):
+        # the thinned law's tilde probabilities are q in closed form, so 30
+        # clients need no support enumeration
+        inst = generate_instance("exp3", 3, n=30, d=10, mu=1.0, l_max=5.0)
+        q = np.linspace(1.0, 2.0, 30)
+        q /= q.sum()
+        dist = SingletonWeighted(q)
+        fed = derive_fed_params(inst, dist, 3, gamma=0.05)
+        assert np.array_equal(fed.effective.tilde_probs(), q)
+        assert fed.rho is not None and 0.0 < fed.rho < 1.0
+        state, _, _ = fed_run(inst, fed, dist, 4, 20)
+        assert state.t == 20 and np.all(np.isfinite(state.x))
+
     def test_uncertifiable_rate_is_reported_as_absent(self):
         inst = generate_instance("exp2", 5, d=4)
         fed = derive_fed_params(inst, UniformMinibatch(4, 2), 2, gamma=0.05)
@@ -233,7 +246,7 @@ class TestDeriveFedParams:
         # h = 0 has L = mu = 0, where the dual weight 1/(L + mu) is undefined
         inst = ProblemInstance(
             f=SmoothOracle(grad=lambda v: v, L=1.0, mu=1.0), g=zero_prox(),
-            h=(zero_prox(),), n=1, d=2,
+            h=(zero_prox(),),
             x_star=np.zeros(2), u_star=np.zeros((1, 2)),
         )
         fed = derive_fed_params(inst, FullBatch(1), 2, gamma=0.5)
@@ -596,7 +609,7 @@ class TestFedRun:
         }[law]
         for d, ks in ((6, (1, 3, 6)), (20, (1, 2, 3, 5)), (23, (1, 2, 3, 5))):
             inst = generate_instance("exp3", 11, n=n, d=d, mu=1.0, l_max=20.0)
-            hand_built = ProblemInstance(f=inst.f, g=inst.g, h=inst.h, n=n, d=d,
+            hand_built = ProblemInstance(f=inst.f, g=inst.g, h=inst.h,
                                          x_star=inst.x_star, u_star=inst.u_star)
             for k in ks:
                 fed = derive_fed_params(inst, dist, k, gamma=gamma)
@@ -651,7 +664,7 @@ class TestFedRun:
     def test_divergence_reports_the_round(self):
         inst = ProblemInstance(
             f=SmoothOracle(grad=lambda v: v, L=1.0, mu=1.0), g=zero_prox(),
-            h=(zero_prox(),), n=1, d=2,
+            h=(zero_prox(),),
             x_star=np.zeros(2), u_star=np.zeros((1, 2)),
         )
         # no certified plan covers a stepsize this large; build it by hand

@@ -1,5 +1,6 @@
-"""Oracle correctness, instance construction, and serialization."""
+"""Oracle correctness, instance construction, and the batched prox."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -302,9 +303,40 @@ def test_unknown_family_rejected():
 def test_custom_instances_validate_shapes():
     with pytest.raises(ConfigurationError):
         ProblemInstance(
-            f=zero_smooth(), g=zero_prox(), h=(zero_prox(),), n=2, d=3,
+            f=zero_smooth(), g=zero_prox(), h=(zero_prox(),),
             x_star=np.zeros(3), u_star=np.zeros((2, 3)),
         )
+
+
+@pytest.mark.parametrize("kind, params, keys", [
+    ("exp1", {"n": 5, "d": 4}, {"q", "lam", "b", "f_diag"}),
+    ("exp2", {"d": 6}, {"w", "b"}),
+    ("exp3", {"n": 5, "d": 4}, {"q", "lam", "b", "f_diag"}),
+])
+def test_generated_instances_store_each_array_once(kind, params, keys):
+    # n and d follow from the oracles and the reference; the payload holds
+    # only the drawn arrays, and the oracles read those arrays, not copies
+    inst = generate_instance(kind, 3, **params)
+    assert (inst.n, inst.d) == (len(inst.h), inst.x_star.size)
+    assert set(inst.payload) == keys
+    bound = inst.h[-1].prox.args[0]
+    if kind == "exp2":
+        assert np.shares_memory(bound, inst.payload["w"])
+    else:
+        assert np.shares_memory(bound.Q, inst.payload["q"])
+        assert np.shares_memory(bound.b, inst.payload["b"])
+
+
+@pytest.mark.parametrize("kind, params", [
+    # the mean of the linear terms overflows, so x* is NaN
+    ("exp3", {"n": 3, "d": 3, "l_max": 1e308}),
+    # the dual multipliers -d mu W x* overflow to +-inf
+    ("exp2", {"d": 3, "mu": 1e308}),
+])
+def test_a_reference_that_overflows_is_refused(kind, params):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigurationError, match="under- or overflows float64"):
+            generate_instance(kind, 0, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +387,44 @@ def test_kept_rows_match_the_blas_row_blocking(d_blocks, d_rest, n, k_rest, k_sh
         assert _kept_row_layout(cols, d) is not None
     if k == d:
         assert _kept_row_layout(cols, d) is None
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("exp1", {"n": 6, "d": 7}),
+    ("exp2", {"d": 9}),
+    ("exp3", {"n": 6, "d": 7}),
+    ("exp3", {"n": 40, "d": 40}),
+])
+@pytest.mark.parametrize("subset", [False, True], ids=["every", "subset"])
+def test_batched_prox_equals_the_per_oracle_prox(kind, params, subset):
+    inst = generate_instance(kind, 9, **params)
+    rng = np.random.default_rng(1)
+    members = np.flatnonzero(rng.random(inst.n) < 0.5) if subset else np.arange(inst.n)
+    gammas = rng.uniform(0.01, 3.0, size=members.size)
+    V = 10.0 * rng.standard_normal((members.size, inst.d))
+    expected = np.stack([inst.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
+    assert np.array_equal(inst.prox_rows(members, gammas, V), expected)
+
+
+def test_an_instance_without_stacked_arrays_calls_its_oracles():
+    inst = generate_instance("exp3", 9, n=4, d=5)
+    calls = []
+
+    def recorded(oracle):
+        def prox(gamma, v):
+            calls.append(gamma)
+            return oracle.prox(gamma, v)
+        return dataclasses.replace(oracle, prox=prox)
+
+    hand_built = ProblemInstance(f=inst.f, g=inst.g, h=tuple(recorded(o) for o in inst.h),
+                                 x_star=inst.x_star, u_star=inst.u_star)
+    assert hand_built.payload == {}
+    members = np.array([0, 2, 3])
+    gammas = np.array([0.5, 1.0, 2.0])
+    V = np.random.default_rng(2).standard_normal((3, 5))
+    rows = hand_built.prox_rows(members, gammas, V)
+    assert calls == [0.5, 1.0, 2.0]
+    assert np.array_equal(rows, inst.prox_rows(members, gammas, V))
 
 
 def test_kept_row_layout_pads_the_blocks_and_keeps_the_tail_whole():

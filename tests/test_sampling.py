@@ -232,9 +232,17 @@ def test_exchangeable_shortcut_beats_enumeration_cap():
     np.testing.assert_allclose(ind.tilde_probs(), np.full(30, 1 / 30), atol=1e-15)
 
 
+def test_thinned_weighted_singletons_keep_q_above_the_enumeration_cap():
+    q = np.linspace(1.0, 2.0, 30)
+    q /= q.sum()
+    thin = compressed_view(SingletonWeighted(q), 3, 10)
+    assert isinstance(thin, ThinnedView)
+    assert np.array_equal(thin.tilde_probs(), q)
+
+
 @pytest.mark.parametrize("dist", [
     IndependentParticipation([0.5, 0.500004, 0.5]),
-    # q itself is the closed form, so the shortcut shows through a thinning
+    # q itself is the closed form, and a thinning keeps it
     ThinnedView(SingletonWeighted([1 / 3, 1 / 3 + 2e-6, 1 / 3 - 2e-6]), 0.5),
 ], ids=lambda d: d.law)
 def test_near_uniform_laws_skip_the_exchangeable_shortcut(dist):

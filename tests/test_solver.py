@@ -54,7 +54,7 @@ from multiprox import (
     zero_smooth,
 )
 from multiprox.problems import QuadraticForm, harmonic_curvature, orthogonal_matrix
-from multiprox.rates import rho_n1_simple_g, transfer_cap
+from multiprox.rates import VERY_LARGE_GAMMA, rho_n1_simple_g, transfer_cap
 from multiprox.solver import (
     ACCEL_NO_CURVATURE,
     ACCEL_NONEMPTY,
@@ -105,7 +105,7 @@ def quad_instance(seed, n, d, lam_range=(0.5, 4.0), zero_eigs=0, f_range=None,
         )
     g = scaled_sqnorm(mu_g) if mu_g > 0 else zero_prox()
     instance = ProblemInstance(
-        f=smooth, g=g, h=tuple(f.as_oracle() for f in forms), n=n, d=d,
+        f=smooth, g=g, h=tuple(f.as_oracle() for f in forms),
         x_star=x_star, u_star=u_star, delta=delta,
     )
     assert instance.optimality_residual() <= 1e-8
@@ -129,7 +129,7 @@ def strong_single_instance(mu_h=2.0, mu_g=1.0, d=3):
     return ProblemInstance(
         f=zero_smooth(), g=scaled_sqnorm(mu_g),
         h=(shifted_sqnorm_component(mu_h, center),),
-        n=1, d=d, x_star=x_star, u_star=u_star,
+        x_star=x_star, u_star=u_star,
     )
 
 
@@ -181,6 +181,17 @@ class TestSchedules:
             Adaptive(1.0, 5.0)
         with pytest.raises(ConfigurationError):
             Adaptive(0.0, 6.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Constant(float("nan")),
+        # the planner's stepsize when L_f = max L_h = 0
+        lambda: Constant(VERY_LARGE_GAMMA),
+        lambda: Adaptive(mu=float("nan"), a=6.0),
+        lambda: Adaptive(mu=1.0, a=float("nan")),
+    ], ids=["constant-nan", "constant-very-large", "adaptive-mu-nan", "adaptive-a-nan"])
+    def test_schedules_refuse_what_is_not_a_real_number(self, build):
+        with pytest.raises(ConfigurationError, match="finite real number"):
+            build()
 
     def test_adaptive_stepsize_values(self):
         sched = Adaptive(2.0, 6.0)
@@ -457,7 +468,7 @@ class TestStep:
     def test_divergence_reports_the_iteration(self):
         inst = ProblemInstance(
             f=SmoothOracle(grad=lambda v: v, L=1.0, mu=1.0), g=zero_prox(),
-            h=(zero_prox(),), n=1, d=2,
+            h=(zero_prox(),),
             x_star=np.zeros(2), u_star=np.zeros((1, 2)),
         )
         params = SolverParams(np.ones(1), 1.0, 0.0, 0.0, Constant(3.0))
@@ -501,7 +512,7 @@ class TestForwardPoint:
         x_star = (mu_h * center - c) / (mu_g + mu_h)
         return ProblemInstance(
             f=SmoothOracle(grad=lambda x: c, L=0.0, mu=0.0), g=scaled_sqnorm(mu_g),
-            h=(shifted_sqnorm_component(mu_h, center),), n=1, d=d,
+            h=(shifted_sqnorm_component(mu_h, center),),
             x_star=x_star, u_star=(mu_h * (x_star - center))[None, :],
         )
 
