@@ -18,9 +18,9 @@ Stream discipline: subsets come from one generator, client masks from one
 generator per client, and the server's per-coordinate coins from a server
 generator in increasing coordinate order. No generator serves two lanes, so
 a run may draw a block of rounds ahead: :class:`FedRng` draws the block's
-subsets in round order and then each participant's masks for the whole
-block in one call, and every generator stands where drawing those rounds
-one at a time would leave it.
+subsets in round order, then every participant's masks for the whole block
+in one :func:`compress` pass over their own generators. Every generator
+stands where drawing those rounds one at a time would leave it.
 
 A round works on all participants at once: one
 :meth:`~multiprox.problems.ProblemInstance.prox_rows` call with the round's
@@ -70,11 +70,10 @@ Array = np.ndarray
 # Rounds drawn ahead at a time by fed_run; the last block takes what is left.
 BLOCK_ROUNDS = 128
 
-# Past this many kept coordinates, or with fewer than two masks per kept
-# coordinate, one Generator.choice call per mask is cheaper than the replay.
-# It must stay at most 200, which keeps every replayed mask where
-# Generator.choice runs Floyd's algorithm (d <= 10_000 or k <= d // 50);
-# elsewhere choice shuffles a tail of arange(d) instead.
+# Past this many kept coordinates, one Generator.choice call per mask is
+# cheaper than the replay. It must stay at most 200, which keeps every
+# replayed mask where Generator.choice runs Floyd's algorithm (d <= 10_000
+# or k <= d // 50); elsewhere choice shuffles a tail of arange(d) instead.
 _REPLAY_MAX_K = 64
 
 
@@ -116,16 +115,14 @@ class FedRng:
         return cls(omega=omega, server=server, clients=clients)
 
     def draw_ahead(self, dist: SamplingDistribution, k: int, d: int, rounds: int) -> None:
-        """With no round ahead, draw the next ``rounds`` subsets, then each
+        """With no round ahead, draw the next ``rounds`` subsets, then every
         participant's masks for all of them in one :func:`compress` call."""
         if self._subsets:
             return
         subsets = [np.array(dist.sample(self.omega), dtype=np.intp) for _ in range(rounds)]
         uses = np.bincount(np.concatenate(subsets), minlength=len(self.clients))
         starts = np.cumsum(uses) - uses
-        masks = np.empty((int(uses.sum()), k), dtype=np.int64)
-        for i in np.flatnonzero(uses).tolist():
-            masks[starts[i]:starts[i] + uses[i]] = compress(self.clients[i], d, k, int(uses[i]))
+        masks = compress([self.clients[i] for i in np.flatnonzero(uses)], d, k, uses[uses > 0])
         self._subsets.extend(subsets)
         self._masks, self._cursor, self._drawn_for = masks, starts, (dist, k, d)
 
@@ -143,36 +140,41 @@ class FedRng:
         return members, self._masks[rows]
 
 
-def compress(rng: np.random.Generator, d: int, k: int, count: int) -> Array:
-    """``count`` unscaled rand-k masks of client stream ``rng``, as (count, k) sorted rows.
-
-    Rows and the stream's final state equal those of ``count`` successive
-    ``np.sort(rng.choice(d, size=k, replace=False))`` calls.
-    """
+def compress(rngs: list[np.random.Generator], d: int, k: int, counts: Array | list[int]) -> Array:
+    """Unscaled rand-k masks, ``counts[j]`` from each client stream ``rngs[j]``,
+    as sorted rows stacked in client order. Client j's rows and its stream's
+    final state equal those of ``counts[j]`` successive
+    ``np.sort(rngs[j].choice(d, size=k, replace=False))`` calls."""
     if not 1 <= k <= d:
         raise ConfigurationError(f"need 1 <= k <= d, got k={k}, d={d}")
-    if k <= _REPLAY_MAX_K and 2 * k <= count:
-        return _floyd_masks(rng, d, k, count)
-    masks = np.empty((count, k), dtype=np.int64)
-    for row in masks:
-        row[:] = np.sort(rng.choice(d, size=k, replace=False))
+    if k <= _REPLAY_MAX_K:
+        return _floyd_masks(rngs, d, k, counts)
+    masks = np.empty((sum(counts), k), dtype=np.int64)
+    for row, j in zip(masks, np.repeat(np.arange(len(rngs)), counts).tolist()):
+        row[:] = np.sort(rngs[j].choice(d, size=k, replace=False))
     return masks
 
 
-def _floyd_masks(rng: np.random.Generator, d: int, k: int, count: int) -> Array:
-    """Replay ``count`` calls of Floyd's sampling as Generator.choice runs it.
+def _floyd_masks(rngs: list[np.random.Generator], d: int, k: int,
+                 counts: Array | list[int]) -> Array:
+    """Replay ``counts[j]`` calls of Floyd's sampling on each ``rngs[j]`` as
+    Generator.choice runs it, all clients' rows in one pass.
 
     Per mask, choice draws Floyd's k values with inclusive bounds d-k ... d-1,
     then the k-1 of its shuffle with bounds k-1 ... 1; a zero bound draws
-    nothing. One ``integers`` call with those bounds makes exactly the same
-    draws, and sorting the rows makes the shuffle's outcome irrelevant.
+    nothing. One ``integers`` call per client with those bounds makes exactly
+    the same draws, and sorting the rows makes the shuffle's outcome irrelevant.
     """
     bounds = np.arange(d - k, d)
     highs = np.concatenate((bounds, np.arange(k - 1, 0, -1))) + 1
-    draws = rng.integers(0, np.tile(highs, count)).reshape(count, 2 * k - 1)
+    tiled = np.tile(highs, max(counts, default=0))
+    # column j holds mask j's Floyd values; the shuffle's draws are dropped
+    kept = np.empty((k, sum(counts)), dtype=np.int64)
+    for rng, end, count in zip(rngs, np.cumsum(counts).tolist(), counts):
+        draws = rng.integers(0, tiled[:count * highs.size]).reshape(count, highs.size)
+        kept[:, end - count:end] = draws[:, :k].T
     # Floyd keeps a draw unless it is already in the set, and then takes the
     # column's bound instead; columns go one by one, each across every mask
-    kept = draws[:, :k].T.copy()
     for t in range(1, k):
         kept[t, (kept[:t] == kept[t]).any(axis=0)] = bounds[t]
     return np.sort(kept.T, axis=1)
@@ -194,11 +196,9 @@ def rescale(
     uniform per coordinate in increasing order.
     """
     d = x_hat.size
-    sums = counts = np.zeros(d)
-    if cols.size:
-        # bincount adds in message order, as a loop of scatter-adds would
-        sums = np.bincount(cols, weights=values, minlength=d)
-        counts = np.bincount(cols, minlength=d)
+    # bincount adds in message order, as a loop of scatter-adds would
+    sums = np.bincount(cols, weights=values, minlength=d)
+    counts = np.bincount(cols, minlength=d)
     covered = counts > 0
     x_next = np.empty(d)
     x_next[covered] = x_hat[covered] + sums[covered] / counts[covered]

@@ -547,4 +547,6 @@ def generate_instance(kind: str, rng: np.random.Generator | int, **params) -> Pr
         raise ConfigurationError(f"unknown instance family {kind!r}")
     if not isinstance(rng, np.random.Generator):
         rng = generator(rng)
-    return _GENERATORS[key](rng, **params)
+    # the residual check refuses a reference that overflowed; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _GENERATORS[key](rng, **params)

@@ -9,6 +9,7 @@ acceptance suite drives them at measurement scale.
 import dataclasses
 import hashlib
 import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -509,8 +510,31 @@ class TestTracedSurface:
         assert count["problems.prox.hyperplane_ridge"] == 200
         # one budget x 2 replicates x 30 rounds
         assert count["federated.fed_step"] == 60
+        # each replicate's 30 rounds are one block, whose masks are one call
+        assert count["federated.compress"] == 2
         assert count["problems.generate_instance"] == 2
         assert count["bench.aggregate_replicates"] == 3
+
+
+class TestBenchmarkGate:
+    """The benchmark's own correctness gate, as one short run per workload.
+
+    ``run.py`` sets one BLAS thread before numpy loads and compares output
+    bytes and the solve's final iterate with ``perfbench/reference.json``;
+    a traced run also checks its step count against the harness.
+    """
+
+    @pytest.mark.parametrize("workload", ["singleton-hyperplane", "importance-target",
+                                          "federated-fullbatch"])
+    def test_a_short_traced_run_matches_the_reference(self, workload):
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", "0", "--seconds", "0.01", "--trace", "1"],
+            cwd=root, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+        last = json.loads(result.stdout.splitlines()[-1])
+        assert last["correct"] is True and last["failed"] == 0, (last, result.stderr)
 
 
 class TestBenchmarkSurface:

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,23 @@ from hypothesis import strategies as st
 from multiprox import bench
 from multiprox.bench import preset
 from multiprox.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def assert_error_alone_on_stderr(cfg):
+    """`run` and `rates` in their own interpreter, where numpy's warnings
+    would reach stderr, print the `error:` line and nothing else."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for command in ("run", "rates"):
+        result = subprocess.run(
+            [sys.executable, "-c", "from multiprox.cli import main; main()",
+             command, "--config", cfg],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1, (command, result.stderr)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (command, result.stderr)
+        assert "Warning" not in result.stderr
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -144,6 +164,7 @@ class TestRun:
             assert isinstance(result.exception, SystemExit), (command, result.exception)
             assert result.exit_code == 1, (command, result.output)
             assert "error:" in result.output and "under- or overflow" in result.output
+        assert_error_alone_on_stderr(cfg)
 
     def test_a_generated_reference_that_overflows_is_an_error(self, tmp_path):
         # -d mu W x* overflows, so u* held +-inf; `run` then died on a zero
@@ -155,6 +176,7 @@ class TestRun:
             assert isinstance(result.exception, SystemExit), (command, result.exception)
             assert result.exit_code == 1, (command, result.output)
             assert "error:" in result.output and "under- or overflow" in result.output
+        assert_error_alone_on_stderr(cfg)
 
     def test_a_budget_past_d_is_refused_before_any_arm_is_derived(self, tmp_path):
         # k = 1 alone has no contraction at this mu, which `rates` once

@@ -45,7 +45,7 @@ from multiprox import (
     step,
     zero_prox,
 )
-from multiprox.federated import BLOCK_ROUNDS, _floyd_masks
+from multiprox.federated import BLOCK_ROUNDS, _REPLAY_MAX_K, _floyd_masks
 from multiprox.rates import fed_plan, rho_theorem1, RateInputs
 from multiprox.sampling import compressed_view
 from multiprox.solver import LINEAR_SMOOTH
@@ -67,16 +67,21 @@ def small_exact_instance(seed=3, n=4, d=4, mu=1.0, l_max=3.0):
 # Compression
 
 
-def choice_masks(rng, d, k, count):
-    """The reference: one sorted Generator.choice call per mask."""
+def choice_masks(rngs, d, k, counts):
+    """The reference: one sorted Generator.choice call per mask, client by client."""
     return np.array([np.sort(rng.choice(d, size=k, replace=False))
-                     for _ in range(count)]).reshape(count, k)
+                     for rng, count in zip(rngs, counts)
+                     for _ in range(count)]).reshape(sum(counts), k)
 
 
 def _replay_cases():
     for d in [*range(1, 65), 100, 127, 1000, 4097, 9999, 10_000]:
         for k in sorted({1, 2, d // 2, d} & set(range(1, d + 1))):
             yield d, k
+    # on either side of the replay's last k
+    for d in (100, 1000):
+        yield d, _REPLAY_MAX_K
+        yield d, _REPLAY_MAX_K + 1
     # huge ranges, where Lemire rejections redraw values
     yield 2**31 + 12_345, 3
     yield 10**6, 7
@@ -84,7 +89,7 @@ def _replay_cases():
 
 class TestCompress:
     def test_masks_are_sorted_unique_rows_of_size_k(self):
-        masks = compress(generator(0), 4, 2, 50)
+        masks = compress([generator(0)], 4, 2, [50])
         assert masks.shape == (50, 2)
         # strictly increasing rows: sorted, and no coordinate twice
         assert np.all(masks[:, 1:] > masks[:, :-1])
@@ -92,34 +97,38 @@ class TestCompress:
 
     def test_each_coordinate_kept_with_ratio_k_over_d(self):
         draws = 100_000
-        masks = compress(generator(1), 4, 2, draws)
+        masks = compress([generator(1)], 4, 2, [draws])
         freq = np.bincount(masks.ravel(), minlength=4) / draws
         # 4 sigma for a Bernoulli(1/2) mean over 1e5 draws is about 0.0063
         assert np.abs(freq - 0.5).max() <= 0.01
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
-            compress(generator(0), 4, 0, 1)
+            compress([generator(0)], 4, 0, [1])
         with pytest.raises(ConfigurationError):
-            compress(generator(0), 4, 5, 1)
+            compress([generator(0)], 4, 5, [1])
 
     @pytest.mark.parametrize("masks", [compress, _floyd_masks])
     def test_masks_and_stream_equal_successive_choice_calls(self, masks):
-        # the replay is checked alone too, since compress takes it only for
-        # small k and enough masks; at d = 20 000, k = 1 000 choice shuffles a
-        # tail instead, which only compress, through choice itself, handles
+        # the replay is checked alone too, past the k where compress leaves
+        # it; at d = 20 000, k = 1 000 choice shuffles a tail instead, which
+        # only compress, through choice itself, handles
         cases = list(_replay_cases())
         if masks is compress:
             cases.append((20_000, 1_000))
         for d, k in cases:
-            for count in {1, 3, 2 * k + 1} if k <= 64 else {1, 3}:
-                ours, ref = generator(d + k), generator(d + k)
+            # unequal counts, one of them a single mask
+            counts = [3, 1, 2 * k + 1] if k <= _REPLAY_MAX_K + 1 else [3, 1]
+            ours = [generator(d + k + j) for j in range(len(counts))]
+            ref = [generator(d + k + j) for j in range(len(counts))]
+            for g, h in zip(ours, ref):
                 # start from a generator that holds a buffered half-word
-                ours.integers(2)
-                ref.integers(2)
-                got = masks(ours, d, k, count)
-                assert np.array_equal(got, choice_masks(ref, d, k, count)), (d, k, count)
-                assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+                g.integers(2)
+                h.integers(2)
+            got = masks(ours, d, k, np.array(counts))
+            assert np.array_equal(got, choice_masks(ref, d, k, counts)), (d, k)
+            for g, h in zip(ours, ref):
+                assert repr(g.bit_generator.state) == repr(h.bit_generator.state), (d, k)
 
 
 class TestRescale:
@@ -660,6 +669,39 @@ class TestFedRun:
                 if law == "independent" and T > 1:
                     # some rounds drew nobody
                     assert ledger.uplink_parallel_reals < k * T
+
+    @pytest.mark.parametrize("law", ["full_batch", "minibatch", "independent"])
+    def test_block_masks_equal_successive_choice_calls(self, law):
+        # an independent reference: each client's masks, as next_round hands
+        # them out, against choice calls on a fresh copy of its generator
+        n, d = 7, 6
+        dist = {
+            "full_batch": FullBatch(n),
+            "minibatch": UniformMinibatch(n, 3),
+            "independent": IndependentParticipation(np.linspace(0.05, 0.5, n)),
+        }[law]
+        counts_seen = []
+        for k in (1, 3, d):
+            for rounds in (1, 2, 5):
+                rngs, ref = FedRng.from_seed(23, n), FedRng.from_seed(23, n)
+                rngs.draw_ahead(dist, k, d, rounds)
+                got = [[] for _ in range(n)]
+                for _ in range(rounds):
+                    members, masks = rngs.next_round(dist, k, d)
+                    assert np.array_equal(members, np.asarray(dist.sample(ref.omega), dtype=int))
+                    for i, mask in zip(members.tolist(), masks):
+                        got[i].append(mask)
+                for i, g in enumerate(ref.clients):
+                    want = choice_masks([g], d, k, [len(got[i])])
+                    assert np.array_equal(np.reshape(got[i], (-1, k)), want), (k, rounds, i)
+                for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
+                                [ref.omega, ref.server, *ref.clients]):
+                    assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
+                counts_seen += [(len(client_masks), k) for client_masks in got]
+        # some clients drew fewer than 2k masks, and where the law allows it
+        # some drew none, whose generators the block left alone
+        assert any(0 < count < 2 * k for count, k in counts_seen)
+        assert any(count == 0 for count, _ in counts_seen) == (law != "full_batch")
 
     def test_divergence_reports_the_round(self):
         inst = ProblemInstance(
