@@ -58,7 +58,6 @@ from .solver import (
     SolverParams,
     _drive,
     _is_real,
-    certify_radius,
     derive_params,
     importance_plan,
     initial_state,
@@ -382,6 +381,12 @@ def instance_for(cfg: RunConfig) -> ProblemInstance:
         "exp2": dict(d=cfg.d, mu=cfg.mu),
         "exp3": dict(n=cfg.n, d=cfg.d, mu=cfg.mu, l_max=cfg.l_max),
     }[cfg.experiment]
+    # the generator's float64 arrays: n (d, d) matrices, or exp2's d hyperplanes in R^d
+    size = 8 * cfg.d**2 * (1 if cfg.experiment == "exp2" else cfg.n)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ConfigurationError(f"the {cfg.experiment} instance needs {size / 2**30:.4g} GiB, "
+                                 f"more than the machine's {memory / 2**30:.4g} GiB of memory")
     (rng,) = spawn(cfg.seed, 1)
     return generate_instance(cfg.experiment, rng, **sizes)
 
@@ -432,15 +437,10 @@ def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance, arm: Arm,
     def trace(r, record):
         rng = generator(cfg.seed + r)
         state = initial_state(instance, x0=x0, track_z=params.track_z)
-        if spec is not None:
-            certify_radius(state, instance, params, spec)
-        emit = lambda: record(
-            state.t, sq_dist(state, instance),
-            None if spec is None else lyapunov(state, instance, params, spec), (0, 0))
         reached = None if target is None else lambda: sq_dist(state, instance) <= target
-        hits.append(_drive(state, cfg.iterations,
-                           lambda: step(state, instance, params, dist, rng),
-                           emit, default_cadence, reached))
+        hits.append(_drive(state, instance, params, spec, cfg.iterations,
+                           lambda: step(state, instance, params, dist, rng), record,
+                           lambda: (0, 0), lyapunov, default_cadence, reached))
 
     info = {"law": dist.to_config(), "eta_max": float(np.max(params.eta)),
             "p_hat": params.p_hat}

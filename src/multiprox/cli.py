@@ -43,7 +43,7 @@ def _guarded(fn):
     except (HypothesisViolation, Unsupported) as exc:
         click.echo(f"rejected: {exc}", err=True)
         sys.exit(2)
-    except (MultiproxError, OSError, ValueError) as exc:
+    except (MultiproxError, OSError, ValueError, MemoryError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

@@ -55,13 +55,11 @@ from .solver import (
     _check_trust_region,
     _drive,
     _forward,
-    certify_radius,
     derive_params,
     gamma_at,
     initial_state,
     lyapunov,
     make_lyapunov_spec,
-    sq_dist,
 )
 
 Array = np.ndarray
@@ -366,25 +364,14 @@ def fed_run(
         rngs = FedRng.from_seed(rngs, instance.n)
     _check_clients(rngs, instance)
     state = initial_state(instance, x0=x0)
-    if fed.spec is not None:
-        certify_radius(state, instance, fed.solver, fed.spec)
     ledger = CommLedger()
-
-    def emit():
-        if sink is None:
-            return
-        psi = None if fed.spec is None else lyapunov(state, instance, fed.solver, fed.spec)
-        sink(
-            state.t,
-            sq_dist(state, instance),
-            psi,
-            (ledger.uplink_parallel_reals, ledger.uplink_total_reals),
-        )
 
     def advance():
         # blocks end at T, so every generator ends where per-round draws leave it
         rngs.draw_ahead(dist, fed.k, instance.d, min(BLOCK_ROUNDS, T - state.t))
         fed_step(state, instance, fed, dist, rngs, ledger)
 
-    _drive(state, T, advance, emit, cadence)
+    _drive(state, instance, fed.solver, fed.spec, T, advance, sink,
+           lambda: (ledger.uplink_parallel_reals, ledger.uplink_total_reals),
+           lyapunov, cadence)
     return state, state.u, ledger

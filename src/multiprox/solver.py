@@ -139,6 +139,13 @@ class SolverParams:
             raise ConfigurationError(f"acceptance probability {self.p_hat} outside [0, 1]")
         if self.p_bar < 0 or self.mu_hat_h < 0:
             raise ConfigurationError("derived constants must be nonnegative")
+        if isinstance(self.schedule, Constant):
+            # each step divides its proximal correction by gamma * eta_i
+            with np.errstate(over="ignore", divide="ignore"):
+                if not np.isfinite(1.0 / (self.schedule.gamma * self.eta)).all():
+                    raise ConfigurationError(
+                        f"stepsize {self.schedule.gamma} is too small: some gamma * eta_i "
+                        "has no finite float64 reciprocal")
 
 
 @dataclass
@@ -166,6 +173,7 @@ class SolverState:
 
 
 def clone_state(state: SolverState) -> SolverState:
+    """A copy of the iterate and trust radius; its dual cache is rebuilt on first use."""
     clone = SolverState(
         t=state.t,
         x=state.x.copy(),
@@ -174,10 +182,6 @@ def clone_state(state: SolverState) -> SolverState:
         z=None if state.z is None else state.z.copy(),
     )
     clone.radius = state.radius
-    if state.du_for is not None and state.du_for[0]() is state.u:
-        clone.du_sq = state.du_sq.copy()
-        clone.moved = set(state.moved)
-        clone.du_for = (weakref.ref(clone.u), state.du_for[1])
     return clone
 
 
@@ -443,29 +447,39 @@ def dual_error(state: SolverState, instance: ProblemInstance) -> float:
     return float(np.sqrt(_dual_sq(state, instance).max()))
 
 
-def _drive(
-    state: SolverState,
-    T: int,
-    advance: Callable[[], None],
-    emit: Callable[[], None],
-    cadence: int | Callable[[int], bool] = 1,
-    stop: Callable[[], bool] | None = None,
-) -> int | None:
-    """The run loop: T calls of ``advance``, each moving ``state`` one step.
+def _drive(state: SolverState, instance: ProblemInstance, params: SolverParams,
+           spec: LyapunovSpec | None, T: int, advance: Callable[[], None],
+           sink: Callable[[int, float, float | None, object], None] | None,
+           tail: Callable[[], object], psi: Callable[..., float],
+           cadence: int | Callable[[int], bool] = 1,
+           stop: Callable[[], bool] | None = None) -> int | None:
+    """The one run loop: T calls of ``advance``, each moving ``state`` one step.
 
-    ``emit`` fires at the start t0 and then at every t selected by ``cadence``
-    (an every-k integer or a predicate), always including t0 + T. ``stop`` is
-    asked at the start and after every step; when it holds, the loop ends
-    there, with that t emitted. Returns the iteration at which it stopped,
-    None when it ran all T steps.
+    With a ``spec`` the state's trust radius is certified first. ``sink``
+    gets ``(t, sq_dist, psi(state, instance, params, spec), tail())``, None in
+    the third field without a spec, at the start t0 and then at every t
+    selected by ``cadence`` (an every-k integer or a predicate), always
+    including t0 + T. ``psi`` is always :func:`lyapunov`, passed in as the
+    caller's own module attribute so that a wrapper placed there sees every
+    logged evaluation. ``stop`` is asked at the start and after every step;
+    when it holds, the loop ends there, with that t logged. Returns the
+    iteration at which it stopped, None when it ran all T steps.
     """
     if T < 0:
         raise ConfigurationError(f"negative iteration count {T}")
+    if spec is not None:
+        certify_radius(state, instance, params, spec)
     if isinstance(cadence, int):
         every = max(1, cadence)
         selected = lambda t: t % every == 0
     else:
         selected = cadence
+
+    def emit():
+        if sink is not None:
+            value = None if spec is None else psi(state, instance, params, spec)
+            sink(state.t, sq_dist(state, instance), value, tail())
+
     end = state.t + T
     emit()
     if stop is not None and stop():
@@ -500,17 +514,9 @@ def run(
     """
     if state is None:
         state = initial_state(instance, track_z=params.track_z)
-    if lyapunov_spec is not None:
-        certify_radius(state, instance, params, lyapunov_spec)
-
-    def emit():
-        if sink is not None:
-            psi = None
-            if lyapunov_spec is not None:
-                psi = lyapunov(state, instance, params, lyapunov_spec)
-            sink(state.t, sq_dist(state, instance), psi, dual_error(state, instance))
-
-    _drive(state, T, lambda: step(state, instance, params, dist, rng), emit, cadence)
+    _drive(state, instance, params, lyapunov_spec, T,
+           lambda: step(state, instance, params, dist, rng), sink,
+           lambda: dual_error(state, instance), lyapunov, cadence)
     return state
 
 

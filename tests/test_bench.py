@@ -498,9 +498,9 @@ class TestTracedSurface:
         rec = spans.Recorder()
         with spans.patched(rec, spans.package_targets(multiprox, rec)) as missing:
             assert missing == []
-            run_experiment(RunConfig(experiment="exp2", seed=3, d=8, grid=[0.5],
-                                     replicates=2, iterations=50))
-            run_experiment(tiny_exp3_config())
+            results = [run_experiment(RunConfig(experiment="exp2", seed=3, d=8, grid=[0.5],
+                                                replicates=2, iterations=50)),
+                       run_experiment(tiny_exp3_config())]
         ids = np.array(rec.name_id)
         count = {name: int((ids == i).sum()) for i, name in enumerate(rec.names)}
         # two arms (one grid stepsize and the adaptive schedule) x 2 x 50
@@ -514,6 +514,11 @@ class TestTracedSurface:
         assert count["federated.compress"] == 2
         assert count["problems.generate_instance"] == 2
         assert count["bench.aggregate_replicates"] == 3
+        # every logged Lyapunov value goes through a traced attribute:
+        # 2 replicates x 51 rows of the adaptive arm, 2 x 31 of the budget
+        logged = sum(row.lyapunov is not None for res in results
+                     for arm in res.arms.values() for row in arm.rows)
+        assert count["solver.lyapunov"] == logged == 164
 
 
 class TestBenchmarkGate:

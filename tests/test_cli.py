@@ -113,6 +113,11 @@ class TestRun:
         negative_seed = {"experiment": "exp3", "seed": -1, "n": 4, "d": 4,
                          "k_values": [2], "replicates": 1, "iterations": 3}
 
+        # 1 / (gamma eta_i) overflowed: `run` warned twice and then left the
+        # trust region, and `rates` exited 0
+        tiny_step = {"experiment": "exp2", "d": 3, "grid": [1e-320], "iterations": 5,
+                     "replicates": 1}
+
         # badly typed values get the same message and exit code, no traceback
         for i, payload in enumerate([
             {"experiment": "exp3", "n": "abc"},
@@ -136,6 +141,7 @@ class TestRun:
             {"experiment": "exp3", "target": 10.0},
             # gamma(-1) = 2 / (mu (a - 1)) squares past float64
             {"experiment": "exp2", "mu": 1e-300, "d": 3, "iterations": 5, "replicates": 1},
+            tiny_step,
             negative_seed,
         ]):
             cfg = write_config(tmp_path, payload, name=f"typed-{i}.json")
@@ -148,6 +154,25 @@ class TestRun:
         cfg = write_config(tmp_path, negative_seed, name="negative-seed.json")
         for command in ("run", "rates"):
             assert "seed" in CliRunner().invoke(main, [command, "--config", cfg]).output
+        assert_error_alone_on_stderr(write_config(tmp_path, tiny_step, name="tiny-step.json"))
+
+    @pytest.mark.parametrize("payload", [
+        # 7.11 PiB of exp3 eigenbases, once a numpy _ArrayMemoryError traceback
+        {"experiment": "exp3", "n": 100_000, "d": 100_000, "k_values": [1]},
+        {"experiment": "exp2", "d": 100_000_000},
+    ])
+    def test_an_instance_past_physical_memory_is_refused_before_allocation(
+            self, tmp_path, monkeypatch, payload):
+        def generate(*args, **kwargs):
+            raise AssertionError("the instance was generated")
+
+        monkeypatch.setattr(bench, "generate_instance", generate)
+        cfg = write_config(tmp_path, {**payload, "iterations": 1, "replicates": 1})
+        for command in ("run", "rates"):
+            result = CliRunner().invoke(main, [command, "--config", cfg])
+            assert result.exit_code == 1, (command, result.output)
+            assert result.output.startswith("error: the ") and "GiB" in result.output
+            assert result.output.count("\n") == 1, (command, result.output)
 
     @pytest.mark.parametrize("payload", [
         # d n L_h mu_h overflows, so the planned stepsize was 0 and the

@@ -165,6 +165,13 @@ class TestRescale:
 
 
 class TestDeriveFedParams:
+    def test_both_paths_refuse_a_stepsize_without_a_finite_inverse(self):
+        inst = small_exact_instance()
+        # UniformMinibatch takes the theorem-exact path, FullBatch the generic one
+        for dist in (UniformMinibatch(4, 2), FullBatch(4)):
+            with pytest.raises(ConfigurationError, match="too small"):
+                derive_fed_params(inst, dist, 2, gamma=1e-320)
+
     def test_exact_path_closed_forms(self):
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(4, 2)

@@ -219,6 +219,19 @@ class TestSolverParamsValidation:
         with pytest.raises(ConfigurationError):
             SolverParams(np.array([1.0]), 1.0, -0.1, 0.0, Constant(0.1))
 
+    def test_rejects_a_stepsize_whose_steps_have_no_finite_inverse(self):
+        # 1 / (gamma eta_i) overflowed in every step, and the run died on the
+        # trust region after two numpy warnings
+        with pytest.raises(ConfigurationError, match="too small"):
+            SolverParams(np.array([1.0, 0.5]), 1.0, 0.0, 0.0, Constant(1e-320))
+        inst = generate_instance("exp2", 0, d=3, mu=1e-5)
+        with pytest.raises(ConfigurationError, match="too small"):
+            derive_params(inst, UniformMinibatch(3, 1), Constant(1e-320))
+        # the product decides, not the stepsize alone
+        SolverParams(np.array([1e10]), 1.0, 0.0, 0.0, Constant(1e-310))
+        with pytest.raises(ConfigurationError, match="too small"):
+            SolverParams(np.array([1.0, 1e-10]), 1.0, 0.0, 0.0, Constant(1e-300))
+
 
 # ---------------------------------------------------------------------------
 # Initial state
