@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .federated import FedParams, FedRng, derive_fed_params, fed_run
+from .federated import FedParams, derive_fed_params, fed_run
 from .problems import ProblemInstance, generate_instance
 from .rates import rate_report, uniform_minibatch_plan
 from .rng import generator, spawn
@@ -359,7 +359,6 @@ def emit_aggregate_csv(rows: list[AggregateRow], path) -> None:
 
 @dataclass
 class ArmResult:
-    name: str
     rows: list[TraceRow]
     aggregate: list[AggregateRow]
     info: dict
@@ -373,6 +372,15 @@ class ExperimentResult:
     files: list[str] = field(default_factory=list)
 
 
+# Peak bytes of generating an instance: tracemalloc peaks around ``instance_for``
+# (one size per process, after a warm-up call), rounded up. exp2 peaked at 4.13
+# (d, d) float64 blocks at d = 400 and 800, exp1 and exp3 at n + 4.1 at n = 1,
+# d = 400; objects add up to 1 KiB per component. Twelve sizes from d = 20 to
+# 800 peaked at 0.77 to 0.98 of their formula.
+_PEAK_BYTES = {"exp2": lambda n, d: 8 * 4.2 * d * d + 1024 * d}
+_PEAK_BYTES["exp1"] = _PEAK_BYTES["exp3"] = lambda n, d: 8 * (n + 5) * d * (d + 3) + 1024 * n
+
+
 def instance_for(cfg: RunConfig) -> ProblemInstance:
     """The generated instance a config runs on, drawn from its spawned seed stream."""
     cfg = _resolved(cfg)
@@ -381,8 +389,7 @@ def instance_for(cfg: RunConfig) -> ProblemInstance:
         "exp2": dict(d=cfg.d, mu=cfg.mu),
         "exp3": dict(n=cfg.n, d=cfg.d, mu=cfg.mu, l_max=cfg.l_max),
     }[cfg.experiment]
-    # the generator's float64 arrays: n (d, d) matrices, or exp2's d hyperplanes in R^d
-    size = 8 * cfg.d**2 * (1 if cfg.experiment == "exp2" else cfg.n)
+    size = _PEAK_BYTES[cfg.experiment](cfg.n, cfg.d)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
         raise ConfigurationError(f"the {cfg.experiment} instance needs {size / 2**30:.4g} GiB, "
@@ -391,8 +398,7 @@ def instance_for(cfg: RunConfig) -> ProblemInstance:
     return generate_instance(cfg.experiment, rng, **sizes)
 
 
-def _arm(name: str, cfg: RunConfig, spec: LyapunovSpec | None,
-         trace: Callable, info: dict) -> ArmResult:
+def _arm(cfg: RunConfig, spec: LyapunovSpec | None, trace: Callable, info: dict) -> ArmResult:
     """Rows, envelope and aggregate of one arm over the config's replicates.
 
     ``trace(r, record)`` runs replicate r and calls ``record(t, sq_dist,
@@ -413,7 +419,7 @@ def _arm(name: str, cfg: RunConfig, spec: LyapunovSpec | None,
             ))
 
         trace(r, record)
-    return ArmResult(name=name, rows=rows, aggregate=aggregate_replicates(rows), info=info)
+    return ArmResult(rows=rows, aggregate=aggregate_replicates(rows), info=info)
 
 
 class Arm(NamedTuple):
@@ -424,7 +430,7 @@ class Arm(NamedTuple):
     spec: LyapunovSpec | None
 
 
-def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance, arm: Arm,
+def _solver_arm(cfg: RunConfig, instance: ProblemInstance, arm: Arm,
                 x0=None, target: float | None = None) -> ArmResult:
     """Replicate r steps on the plain seed ``cfg.seed + r``; stops early at ``target``.
 
@@ -448,7 +454,7 @@ def _solver_arm(name: str, cfg: RunConfig, instance: ProblemInstance, arm: Arm,
         info["gamma"] = params.schedule.gamma
     if spec is not None and spec.rho is not None:
         info["rho"] = spec.rho
-    result = _arm(name, cfg, spec, trace, info)
+    result = _arm(cfg, spec, trace, info)
     if target is not None:
         info["iterations_to_target"] = hits
         info["mean_iterations_to_target"] = _mean_if_all(hits)
@@ -461,16 +467,16 @@ def _fed_rates(fed: FedParams) -> dict:
             "p_check_empty": fed.solver.p_bar, "iteration_complexity": fed.iteration_complexity}
 
 
-def _fed_arm(name: str, cfg: RunConfig, instance: ProblemInstance, arm: Arm, x0=None) -> ArmResult:
+def _fed_arm(cfg: RunConfig, instance: ProblemInstance, arm: Arm, x0=None) -> ArmResult:
     """Compressed rounds with the arm's budget; replicate r streams from ``cfg.seed + r``."""
     dist, fed, spec = arm
 
     def trace(r, record):
-        fed_run(instance, fed, dist, FedRng.from_seed(cfg.seed + r, instance.n),
-                cfg.iterations, sink=record, x0=x0, cadence=default_cadence)
+        fed_run(instance, fed, dist, cfg.seed + r, cfg.iterations, sink=record, x0=x0,
+                cadence=default_cadence)
 
     info = {"law": dist.to_config(), "k": fed.k, **_fed_rates(fed)}
-    result = _arm(name, cfg, spec, trace, info)
+    result = _arm(cfg, spec, trace, info)
     info["final_uplink_total"] = max((r.comm_total for r in result.rows), default=0)
     return result
 
@@ -537,7 +543,7 @@ def _run_exp1(cfg: RunConfig, instance: ProblemInstance, arms: dict[str, Arm]):
     # far common start: keeps the target depth in the rate-dominated regime
     # and the initial error comparable across alpha values
     x0 = np.full(instance.d, 10.0)
-    result_arms = {name: _solver_arm(name, cfg, instance, arm, x0=x0, target=cfg.target)
+    result_arms = {name: _solver_arm(cfg, instance, arm, x0=x0, target=cfg.target)
                    for name, arm in arms.items()}
     uni = result_arms["uniform"].info["mean_iterations_to_target"]
     imp = result_arms["importance"].info["mean_iterations_to_target"]
@@ -633,7 +639,7 @@ def _run_exp2(cfg: RunConfig, instance: ProblemInstance, arms: dict[str, Arm]):
     first when the verdict races to it, and the arm with the lowest final
     mean otherwise.
     """
-    result_arms = {name: _solver_arm(name, cfg, instance, arm) for name, arm in arms.items()}
+    result_arms = {name: _solver_arm(cfg, instance, arm) for name, arm in arms.items()}
     *grid_arms, adaptive = result_arms.values()
     floor = float64_floor(instance)
     for arm in result_arms.values():
@@ -666,7 +672,7 @@ def _exp3_setup(cfg: RunConfig) -> tuple[ProblemInstance, dict[str, Arm]]:
 
 def _run_exp3(cfg: RunConfig, instance: ProblemInstance, arms: dict[str, Arm]):
     x0 = np.full(instance.d, 10.0)
-    result_arms = {name: _fed_arm(name, cfg, instance, arm, x0=x0) for name, arm in arms.items()}
+    result_arms = {name: _fed_arm(cfg, instance, arm, x0=x0) for name, arm in arms.items()}
     by_k = {str(arm.info["k"]): arm for arm in result_arms.values()}
     summary = {
         "k_values": cfg.k_values,

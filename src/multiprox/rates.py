@@ -96,23 +96,28 @@ def _check_common(ri: RateInputs) -> None:
         raise HypothesisViolation("curvature constants must be nonnegative")
 
 
-def _check_p_hat_bound(ri: RateInputs) -> None:
-    cap = 1.0 / (1.0 + ri.gamma * ri.mu_hat_h)
-    if ri.p_hat > cap + _TOL:
+def _check_strong_source(*mus: float) -> None:
+    if all(m <= 0 for m in mus):
         raise HypothesisViolation(
-            f"acceptance probability {ri.p_hat} exceeds 1/(1 + gamma mu_hat) = {cap}"
+            "linear rate needs strong convexity from at least one term"
+        )
+
+
+def _check_transfer(ri: RateInputs) -> None:
+    """Strong source, transfer cap and acceptance bound of the linear results."""
+    _check_strong_source(ri.mu_f, ri.mu_g, ri.mu_hat_h)
+    cap = transfer_cap(ri.eta, ri.mu_h, ri.L_h)
+    if ri.mu_hat_h > cap + _TOL:
+        raise HypothesisViolation(f"mu_hat {ri.mu_hat_h} exceeds its admissible cap {cap}")
+    accept_cap = 1.0 / (1.0 + ri.gamma * ri.mu_hat_h)
+    if ri.p_hat > accept_cap + _TOL:
+        raise HypothesisViolation(
+            f"acceptance probability {ri.p_hat} exceeds 1/(1 + gamma mu_hat) = {accept_cap}"
         )
     expected = ri.p_empty * ri.p_hat * (1.0 + ri.gamma * ri.mu_hat_h)
     if abs(ri.p_bar - expected) > _TOL * (1.0 + abs(expected)):
         raise HypothesisViolation(
             f"inconsistent p_bar: got {ri.p_bar}, definition gives {expected}"
-        )
-
-
-def _check_strong_source(*mus: float) -> None:
-    if all(m <= 0 for m in mus):
-        raise HypothesisViolation(
-            "linear rate needs strong convexity from at least one term"
         )
 
 
@@ -160,11 +165,7 @@ def theorem_terms(ri: RateInputs) -> tuple[float, float]:
             "the general linear rate needs a finite smoothness constant "
             "for every component"
         )
-    _check_strong_source(ri.mu_f, ri.mu_g, ri.mu_hat_h)
-    cap = transfer_cap(ri.eta, ri.mu_h, ri.L_h)
-    if ri.mu_hat_h > cap + _TOL:
-        raise HypothesisViolation(f"mu_hat {ri.mu_hat_h} exceeds its admissible cap {cap}")
-    _check_p_hat_bound(ri)
+    _check_transfer(ri)
     dual = 1.0 - min(
         2.0 * float(ri.p[i]) / (ri.gamma * float(ri.eta[i]) * (ri.L_h[i] + float(ri.mu_h[i])) + 2.0)
         for i in range(ri.size)
@@ -187,12 +188,8 @@ def single_component_terms(ri: RateInputs) -> tuple[float, float]:
         raise HypothesisViolation(
             f"relaxation weight must equal {eta_required}, got {float(ri.eta[0])}"
         )
+    _check_transfer(ri)
     L, mu = ri.L_h[0], float(ri.mu_h[0])
-    cap = transfer_cap(ri.eta, ri.mu_h, ri.L_h)
-    if ri.mu_hat_h > cap + _TOL:
-        raise HypothesisViolation(f"mu_hat {ri.mu_hat_h} exceeds its cap {cap}")
-    _check_strong_source(ri.mu_f, ri.mu_g, ri.mu_hat_h)
-    _check_p_hat_bound(ri)
     keep = 1.0 - ri.p_empty
     growth = 1.0 - ri.p_empty + ri.p_bar
     shrink_g = 1.0 + ri.gamma * ri.mu_g
@@ -210,23 +207,16 @@ def rho_n1_simple_g(ri: RateInputs) -> float:
     return _factor(single_component_terms(ri))
 
 
-def _uniform_scalar(values: Array, what: str) -> float:
-    v0 = float(values[0])
-    if not np.allclose(values, v0, rtol=1e-12, atol=1e-12):
-        raise HypothesisViolation(f"{what} must be identical across components")
-    return v0
-
-
-def _uniform_L(L_h: tuple[Curvature, ...]) -> Curvature:
-    L0 = L_h[0]
-    infinite = [is_infinite(L) for L in L_h]
-    if any(infinite):
-        if not all(infinite):
-            raise HypothesisViolation("smoothness constants must be identical across components")
+def _uniform(values, what: str) -> Curvature:
+    """The one value all components share, :data:`INFINITE` when every one is;
+    refused unless they agree within 1e-12."""
+    infinite = [is_infinite(v) for v in values]
+    if all(infinite):
         return INFINITE
-    if not np.allclose([float(L) for L in L_h], float(L0), rtol=1e-12, atol=1e-12):
-        raise HypothesisViolation("smoothness constants must be identical across components")
-    return L0
+    if any(infinite) or not np.allclose([float(v) for v in values], float(values[0]),
+                                        rtol=1e-12, atol=1e-12):
+        raise HypothesisViolation(f"{what} must be identical across components")
+    return float(values[0])
 
 
 def similarity_terms(ri: RateInputs) -> tuple[float, float]:
@@ -242,10 +232,10 @@ def similarity_terms(ri: RateInputs) -> tuple[float, float]:
         raise HypothesisViolation("the similarity bound assumes subsets are never empty")
     if not np.allclose(ri.eta, 1.0, atol=1e-12):
         raise HypothesisViolation("the similarity bound fixes all relaxation weights to 1")
-    mu_h = _uniform_scalar(ri.mu_h, "component curvature")
-    L = _uniform_L(ri.L_h)
+    mu_h = _uniform(ri.mu_h, "component curvature")
+    L = _uniform(ri.L_h, "smoothness constants")
     # in (0, 1] by _check_common
-    p_s = _uniform_scalar(ri.p, "inclusion probability")
+    p_s = _uniform(ri.p, "inclusion probability")
     if not is_infinite(L) and ri.delta > L + _TOL:
         raise HypothesisViolation("dissimilarity cannot exceed the shared smoothness constant")
     _check_strong_source(ri.mu_f, mu_h)

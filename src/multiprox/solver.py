@@ -529,26 +529,24 @@ ACCEL_NONEMPTY = "accel_nonempty"
 ACCEL_NO_CURVATURE = "accel_no_curvature"
 SIMILARITY = "similarity"
 
-_VARIANTS = (LINEAR_SMOOTH, LINEAR_SINGLE, ACCEL_NONEMPTY, ACCEL_NO_CURVATURE, SIMILARITY)
-
 
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Precomputed weights of one certified Lyapunov function.
 
-    Linear variants carry fixed weights and a contraction factor; the
-    decreasing-stepsize variants recompute weights from the previous
-    stepsize at evaluation time and carry an envelope ratio instead.
+    Linear variants carry fixed weights and a contraction factor. The
+    decreasing-stepsize variants (``rho`` None) carry base dual weights
+    eta / (n p), which :func:`lyapunov` scales by the squared previous
+    stepsize while it weighs x by 1 + gamma_prev mu_hat_h of the params,
+    and an envelope ratio in place of a factor.
     """
 
     variant: str
     rho: float | None
     x_weight: float
-    u_weights: Array | None
-    adaptive_u_base: Array | None = None
-    adaptive_x_mu: float = 0.0
+    u_weights: Array
+    envelope_ratio: Callable[[int], float]
     z_weight: float = 0.0
-    envelope_ratio: Callable[[int], float] | None = None
 
 
 def rate_inputs_from(
@@ -576,6 +574,10 @@ def rate_inputs_from(
     )
 
 
+# Each linear variant's factor, from the rate function that checks its hypotheses.
+_RHO = {LINEAR_SMOOTH: rho_theorem1, LINEAR_SINGLE: rho_n1_simple_g, SIMILARITY: rho_similarity}
+
+
 def make_lyapunov_spec(
     variant: str,
     instance: ProblemInstance,
@@ -584,61 +586,45 @@ def make_lyapunov_spec(
 ) -> LyapunovSpec:
     """Build the Lyapunov function certified for this configuration.
 
-    Raises :class:`HypothesisViolation` when the requested variant does not
-    cover the configuration (wrong schedule type, empty subsets where none
-    are allowed, curvature where none is allowed, or n > 1 for the
-    single-component variant).
+    A linear variant's hypotheses are those of its rate function (and of
+    :func:`rate_inputs_from`), which raises :class:`HypothesisViolation` where
+    they fail; the similarity variant also needs anchor tracking. The
+    decreasing-stepsize variants need an adaptive schedule, and either
+    subsets that are never empty or components and params without curvature.
     """
-    if variant not in _VARIANTS:
-        raise HypothesisViolation(f"unknown Lyapunov variant {variant!r}")
-    p = dist.inclusion_probs()
-    p_empty = dist.empty_prob()
     n = instance.n
-
-    if variant in (ACCEL_NONEMPTY, ACCEL_NO_CURVATURE):
+    if variant not in _RHO:
+        if variant not in (ACCEL_NONEMPTY, ACCEL_NO_CURVATURE):
+            raise HypothesisViolation(f"unknown Lyapunov variant {variant!r}")
         if not isinstance(params.schedule, Adaptive):
             raise HypothesisViolation("decreasing-stepsize variant needs an adaptive schedule")
-        sched = params.schedule
-        if variant == ACCEL_NONEMPTY:
-            if p_empty > 0:
-                raise HypothesisViolation("this variant needs subsets that are never empty")
-            x_mu = params.mu_hat_h
-        else:
-            if np.any(instance.mu_h > 0):
-                raise HypothesisViolation("this variant needs components without strong convexity")
-            x_mu = 0.0
-        base = params.eta / (n * p)
-        ratio = lambda t, a=sched.a: ((a - 1.0) / (a + t - 1.0)) ** 2
-        return LyapunovSpec(
-            variant=variant, rho=None, x_weight=1.0, u_weights=None,
-            adaptive_u_base=base, adaptive_x_mu=x_mu, envelope_ratio=ratio,
-        )
+        if variant == ACCEL_NONEMPTY and dist.empty_prob() > 0:
+            raise HypothesisViolation("this variant needs subsets that are never empty")
+        if variant == ACCEL_NO_CURVATURE and (np.any(instance.mu_h > 0) or params.mu_hat_h > 0):
+            raise HypothesisViolation(
+                "this variant needs components without strong convexity and params "
+                "without a curvature transfer")
+        a = params.schedule.a
+        return LyapunovSpec(variant=variant, rho=None, x_weight=1.0,
+                            u_weights=params.eta / (n * dist.inclusion_probs()),
+                            envelope_ratio=lambda t: ((a - 1.0) / (a + t - 1.0)) ** 2)
 
-    if not isinstance(params.schedule, Constant):
-        raise HypothesisViolation("linear-rate variant needs a constant stepsize")
-    gamma = params.schedule.gamma
+    ri = rate_inputs_from(instance, dist, params)
+    rho = _RHO[variant](ri)
+    if variant == SIMILARITY and not params.track_z:
+        raise HypothesisViolation("the similarity variant needs anchor tracking")
+    gamma, p = ri.gamma, ri.p
     inv_total = np.array([inverse_total_curvature(L, mu)
                           for L, mu in zip(instance.L_h, instance.mu_h.tolist())])
-    if variant == LINEAR_SINGLE and n != 1:
-        raise HypothesisViolation("the single-component variant needs n = 1")
-    if variant == SIMILARITY:
-        if instance.delta is None:
-            raise HypothesisViolation("the similarity variant needs a known dissimilarity")
-        if not params.track_z:
-            raise HypothesisViolation("the similarity variant needs anchor tracking")
-    ri = rate_inputs_from(instance, dist, params)
     x_w = 1.0 + gamma * params.mu_hat_h
     z_w = 0.0
     if variant == LINEAR_SMOOTH:
-        rho = rho_theorem1(ri)
-        growth = 1.0 - p_empty + params.p_bar
+        growth = 1.0 - ri.p_empty + params.p_bar
         u_w = (growth / n) * (gamma**2 * params.eta + 2.0 * gamma * inv_total) / p
     elif variant == LINEAR_SINGLE:
-        rho = rho_n1_simple_g(ri)
         eta1 = float(params.eta[0])
         u_w = np.array([gamma**2 * eta1**2 + 2.0 * gamma * eta1 * float(inv_total[0])])
     else:  # SIMILARITY
-        rho = rho_similarity(ri)
         p_s = float(p[0])
         mu_hat_f = forward_curvature(gamma, instance.f.mu, instance.f.L)
         mu_hat_h = harmonic_curvature(float(instance.mu_h[0]), instance.L_h[0])
@@ -647,7 +633,7 @@ def make_lyapunov_spec(
         u_w = np.full(n, (gamma**2 + 2.0 * gamma * float(inv_total[0])) / (n * p_s))
     return LyapunovSpec(
         variant=variant, rho=rho, x_weight=x_w, u_weights=u_w, z_weight=z_w,
-        envelope_ratio=lambda t, r=rho: r**t,
+        envelope_ratio=lambda t: rho**t,
     )
 
 
@@ -660,10 +646,10 @@ def lyapunov(
     """Evaluate the certified Lyapunov function at the current state."""
     dx = state.x - instance.x_star
     du_sq = _dual_sq(state, instance)
-    if spec.adaptive_u_base is not None:
+    if spec.rho is None:
         gamma_prev = gamma_at(params.schedule, state.t - 1)
-        x_w = 1.0 + gamma_prev * spec.adaptive_x_mu
-        return float(x_w * (dx @ dx) + gamma_prev**2 * (spec.adaptive_u_base @ du_sq))
+        x_w = 1.0 + gamma_prev * params.mu_hat_h
+        return float(x_w * (dx @ dx) + gamma_prev**2 * (spec.u_weights @ du_sq))
     total = spec.x_weight * float(dx @ dx) + float(spec.u_weights @ du_sq)
     if spec.variant == SIMILARITY:
         if state.z is None:
@@ -689,19 +675,13 @@ def conditional_expected_lyapunov(
     """
     total = 0.0
     for members, prob in dist.enumerate_support():
-        if prob == 0.0:
-            continue
-        if members:
+        coins = ((False, 1.0),) if members else ((True, params.p_hat), (False, 1.0 - params.p_hat))
+        for accept, weight in coins:
+            if prob == 0.0 or weight == 0.0:
+                continue
             branch = clone_state(state)
-            _apply(branch, instance, params, members, False)
-            total += prob * lyapunov(branch, instance, params, spec)
-        else:
-            for accept, weight in ((True, params.p_hat), (False, 1.0 - params.p_hat)):
-                if weight == 0.0:
-                    continue
-                branch = clone_state(state)
-                _apply(branch, instance, params, members, accept)
-                total += prob * weight * lyapunov(branch, instance, params, spec)
+            _apply(branch, instance, params, members, accept)
+            total += prob * weight * lyapunov(branch, instance, params, spec)
     return total
 
 

@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from multiprox import (
     Adaptive,
@@ -128,6 +129,7 @@ def test_criterion_02_one_step_contraction_is_certified(verdicts):
            f"max E[psi']/(rho psi) = {worst:.12f} over 50 random states ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_03_average_decay_beats_the_certified_linear_rate(verdicts):
     t0 = time.perf_counter()
     # stiff conditioning: the certified decay over the whole 2000-iteration
@@ -180,6 +182,7 @@ def test_criterion_04_singleton_runs_match_the_single_index_baseline(verdicts):
            f"max deviation {worst:.3e} over 1000 shared-stream steps ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_decreasing_schedule_tracks_the_quadratic_envelope(verdicts):
     t0 = time.perf_counter()
     instance = generate_instance("exp2", 19, d=100)
@@ -208,6 +211,7 @@ def test_criterion_05_decreasing_schedule_tracks_the_quadratic_envelope(verdicts
            f"mean psi over the envelope at {detail}; bound 1.05, {seeds} seeds ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_06_importance_sampling_wins_and_the_gap_widens(verdicts):
     t0 = time.perf_counter()
     sweep = exp1_sweep(scale="small", seed=0)
@@ -224,6 +228,7 @@ def test_criterion_06_importance_sampling_wins_and_the_gap_widens(verdicts):
            f"gaps across alpha 0.95/0.5/0.05: [{gaps}] ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_adaptive_schedule_beats_the_stepsize_grid(verdicts):
     t0 = time.perf_counter()
     cfg = RunConfig(experiment="exp2", seed=0)
@@ -272,6 +277,7 @@ def test_criterion_08_full_support_compression_changes_nothing(verdicts):
            f"max deviation {worst:.3e} over 500 shared-subset-stream rounds at k=d ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_federated_rate_and_uplink_accounting(verdicts):
     t0 = time.perf_counter()
     instance = generate_instance("exp3", 13, n=20, d=20, mu=1.0, l_max=50.0)

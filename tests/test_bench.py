@@ -143,7 +143,7 @@ def trace_arm(*traces):
     """Arm whose replicate r logs traces[r] at t = 0, 10, 20, ..."""
     rows = [row(10 * i, sq, rep=r)
             for r, trace in enumerate(traces) for i, sq in enumerate(trace)]
-    return ArmResult("arm", rows, aggregate_replicates(rows), floor_info(rows, FLOOR))
+    return ArmResult(rows, aggregate_replicates(rows), floor_info(rows, FLOOR))
 
 
 class TestExp2Verdict:
@@ -521,6 +521,7 @@ class TestTracedSurface:
         assert count["solver.lyapunov"] == logged == 164
 
 
+@pytest.mark.slow
 class TestBenchmarkGate:
     """The benchmark's own correctness gate, as one short run per workload.
 

@@ -160,6 +160,8 @@ class TestRun:
         # 7.11 PiB of exp3 eigenbases, once a numpy _ArrayMemoryError traceback
         {"experiment": "exp3", "n": 100_000, "d": 100_000, "k_values": [1]},
         {"experiment": "exp2", "d": 100_000_000},
+        # 320 kB of hyperplanes, whose generation peaks at over four times that
+        {"experiment": "exp2", "d": 200},
     ])
     def test_an_instance_past_physical_memory_is_refused_before_allocation(
             self, tmp_path, monkeypatch, payload):
@@ -167,6 +169,10 @@ class TestRun:
             raise AssertionError("the instance was generated")
 
         monkeypatch.setattr(bench, "generate_instance", generate)
+        # a machine of 1 MiB
+        real = os.sysconf
+        machine = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", lambda name: machine.get(name) or real(name))
         cfg = write_config(tmp_path, {**payload, "iterations": 1, "replicates": 1})
         for command in ("run", "rates"):
             result = CliRunner().invoke(main, [command, "--config", cfg])

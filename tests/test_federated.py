@@ -279,10 +279,9 @@ class TestDeriveFedParams:
         ref = make_lyapunov_spec(LINEAR_SMOOTH, inst, compressed_view(dist, 3, 4), fed.solver)
         spec = fed.spec
         assert fed.rho is spec.rho and spec.rho == ref.rho
-        assert (spec.variant, spec.x_weight, spec.z_weight, spec.adaptive_x_mu) == (
-            ref.variant, ref.x_weight, ref.z_weight, ref.adaptive_x_mu)
+        assert (spec.variant, spec.x_weight, spec.z_weight) == (
+            ref.variant, ref.x_weight, ref.z_weight)
         assert np.array_equal(spec.u_weights, ref.u_weights)
-        assert spec.adaptive_u_base is None and ref.adaptive_u_base is None
         for t in (0, 1, 17):
             assert spec.envelope_ratio(t) == ref.envelope_ratio(t)
 

@@ -10,6 +10,7 @@ on shared random streams.
 
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -736,6 +737,10 @@ class TestLyapunov:
 
 
 class TestLyapunovSpecGates:
+    """Each refusal comes from the one home of its hypothesis: a linear variant's
+    from its rate function or ``rate_inputs_from``, so a check repeated in
+    ``make_lyapunov_spec`` would change the message."""
+
     def setup_method(self):
         self.inst = generate_instance("exp3", 6, n=3, d=4, mu=0.5, l_max=6.0)
         self.law = UniformMinibatch(3, 1)
@@ -743,13 +748,13 @@ class TestLyapunovSpecGates:
         self.adaptive = derive_params(self.inst, self.law, Adaptive(0.5, 6.0))
 
     def test_unknown_variant(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="unknown Lyapunov variant"):
             make_lyapunov_spec("nope", self.inst, self.law, self.constant)
 
     def test_schedule_type_must_match_variant(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="needs an adaptive schedule"):
             make_lyapunov_spec(ACCEL_NONEMPTY, self.inst, self.law, self.constant)
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="constant stepsizes only"):
             make_lyapunov_spec(LINEAR_SMOOTH, self.inst, self.law, self.adaptive)
 
     def test_nonempty_variant_rejects_empty_rounds(self):
@@ -757,35 +762,105 @@ class TestLyapunovSpecGates:
         inst = quad_instance(3, n=3, d=3, lam_range=(0.0, 3.0), zero_eigs=1,
                              f_range=(1.0, 1.2))
         params = derive_params(inst, law, Adaptive(inst.f.mu, 6.0))
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="never empty"):
             make_lyapunov_spec(ACCEL_NONEMPTY, inst, law, params)
 
     def test_no_curvature_variant_rejects_strong_components(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="without strong convexity"):
             make_lyapunov_spec(ACCEL_NO_CURVATURE, self.inst, self.law, self.adaptive)
 
+    def test_no_curvature_variant_rejects_a_curvature_transfer(self):
+        # lyapunov weighs x by 1 + gamma_prev mu_hat_h, which this certificate lacks
+        inst, law, params = spec_case(ACCEL_NO_CURVATURE)
+        curved = dataclasses.replace(params, mu_hat_h=0.25)
+        with pytest.raises(HypothesisViolation, match="without a curvature transfer"):
+            make_lyapunov_spec(ACCEL_NO_CURVATURE, inst, law, curved)
+
     def test_single_variant_needs_one_component(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="needs exactly n = 1"):
             make_lyapunov_spec(LINEAR_SINGLE, self.inst, self.law, self.constant)
 
     def test_similarity_needs_delta_and_tracking(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="needs a known dissimilarity delta"):
             make_lyapunov_spec(SIMILARITY, self.inst, self.law, self.constant)
         sim = dataclasses.replace(self.inst, delta=6.0)
         untracked = derive_params(sim, self.law, Constant(0.1))
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="needs anchor tracking"):
             make_lyapunov_spec(SIMILARITY, sim, self.law, untracked)
 
     def test_smooth_variant_needs_finite_components(self):
         single = strong_single_instance()
         law = single_empty_law(0.5)
         params = derive_params(single, law, Constant(0.25))
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="finite smoothness constant"):
             make_lyapunov_spec(LINEAR_SMOOTH, single, law, params)
 
     def test_rate_inputs_reject_adaptive_schedules(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="constant stepsizes only"):
             rate_inputs_from(self.inst, self.law, self.adaptive)
+
+
+def spec_case(variant):
+    """(instance, law, params) of the fixed small configuration pinned for ``variant``."""
+    exp3 = generate_instance("exp3", 6, n=3, d=4, mu=0.5, l_max=6.0)
+    if variant == LINEAR_SMOOTH:
+        law = ExplicitSupport(3, [((), 0.3), ((0, 1), 0.3), ((1, 2), 0.2), ((0,), 0.2)])
+        canonical = derive_params(exp3, law, Constant(0.1))
+        return exp3, law, derive_params(exp3, law, Constant(0.1), p_hat=0.4 * canonical.p_hat)
+    if variant == LINEAR_SINGLE:
+        single, law = strong_single_instance(), single_empty_law(0.5)
+        return single, law, derive_params(single, law, Constant(0.25))
+    if variant == SIMILARITY:
+        sim = dataclasses.replace(
+            generate_instance("exp3", 8, n=3, d=4, mu=1.0, l_max=4.0), delta=4.0)
+        law = UniformMinibatch(3, 1)
+        return sim, law, derive_params(sim, law, Constant(0.05), track_z=True)
+    if variant == ACCEL_NONEMPTY:
+        law = UniformMinibatch(3, 1)
+        return exp3, law, derive_params(exp3, law, Adaptive(0.5, 6.0))
+    flat = quad_instance(21, n=3, d=3, lam_range=(0.0, 3.0), zero_eigs=1, f_range=(1.0, 1.3))
+    law = IndependentParticipation([0.6, 0.7, 0.8])
+    return flat, law, derive_params(flat, law, Adaptive(flat.f.mu, 5.5))
+
+
+def spec_digest(variant):
+    """sha256 of the certificate's factor, weights and envelope, and of its value
+    at three fixed states; a decreasing-stepsize certificate is pinned through
+    those values, which read its weights at three stepsizes."""
+    inst, law, params = spec_case(variant)
+    spec = make_lyapunov_spec(variant, inst, law, params)
+    h = hashlib.sha256()
+    for value in (spec.rho, spec.x_weight, spec.z_weight,
+                  *(spec.envelope_ratio(t) for t in (0, 1, 17))):
+        h.update(b"-" if value is None else np.float64(value).tobytes())
+    if spec.rho is not None:
+        h.update(np.asarray(spec.u_weights, dtype=np.float64).tobytes())
+    rng = generator(5)
+    for t in (0, 1, 17):
+        state = random_state(rng, inst, spread=2.0, consistent=params.track_z, t=t)
+        h.update(np.float64(lyapunov(state, inst, params, spec)).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of every variant's certificate on its fixed configuration
+SPEC_GOLDEN = {
+    LINEAR_SMOOTH:
+        "c574ae67aa09f20a80cabe1fb2f31c1dc97fe74e7bf685d7ee7d25b6a6c6fdaf",
+    LINEAR_SINGLE:
+        "356b258b9036be8a1cbf6b757f7e8e3d0ee65b438fd7c96c918901f316271890",
+    SIMILARITY:
+        "c76f8bbd19bd2fd8595bd8accc5f35ac21e33eb12972820f011b207cdc601b18",
+    ACCEL_NONEMPTY:
+        "d525916d047755f14488c918cc808fc2c3a6f644430dc8191129f6cba9692ea4",
+    ACCEL_NO_CURVATURE:
+        "2e687bd3450e3f87cdd8f6440fd10e33f692287add98116be8c2a2d428796499",
+}
+
+
+class TestSpecGolden:
+    @pytest.mark.parametrize("variant", sorted(SPEC_GOLDEN))
+    def test_every_certificate_is_pinned(self, variant):
+        assert spec_digest(variant) == SPEC_GOLDEN[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -1166,6 +1241,7 @@ class TestRun:
 
 
 class TestAdaptiveEnvelope:
+    @pytest.mark.slow
     def test_envelope_without_component_curvature(self):
         inst = quad_instance(21, n=3, d=3, lam_range=(0.0, 3.0), zero_eigs=1,
                              f_range=(1.0, 1.3))
