@@ -19,8 +19,10 @@ generator per client, and the server's per-coordinate coins from a server
 generator in increasing coordinate order. No generator serves two lanes, so
 a run may draw a block of rounds ahead: :class:`FedRng` draws the block's
 subsets in round order, then every participant's masks for the whole block
-in one :func:`compress` pass over their own generators. Every generator
-stands where drawing those rounds one at a time would leave it.
+in one :func:`compress` pass over their own generators, then the server's
+coins for the whole block in one call, as a round's uncovered coordinates
+follow from its masks. Every generator stands where drawing those rounds one
+at a time would leave it.
 
 A round works on all participants at once: one
 :meth:`~multiprox.problems.ProblemInstance.prox_rows` call with the round's
@@ -28,9 +30,9 @@ masks returns only the kept coordinates of every participant's prox. For
 the generated quadratic families it solves them in one batched call that,
 when every client takes part, reads only the eigenbasis rows behind the
 kept coordinates, bit for bit equal to keeping them from the full prox.
-The duals and server sums then
-move with one scatter each, adding in member order as a per-client loop
-would.
+The instance lays out the kept rows once per block and builds the prox's
+stepsize arrays once per stepsize. The duals and server sums then move with
+one scatter each, adding in member order as a per-client loop would.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .solver import (
     LyapunovSpec,
     SolverParams,
     SolverState,
+    _check_law,
     _check_trust_region,
     _drive,
     _forward,
@@ -95,16 +98,13 @@ class FedRng:
 
     ``omega`` draws each round's subset, ``clients[i]`` client i's masks and
     ``server`` the coins; see the module docstring. :meth:`draw_ahead` draws
-    a block of rounds at once and :meth:`next_round` hands them out in order,
-    each client's masks kept in one array that a per-client cursor walks.
+    a block of rounds at once and :meth:`next_round` hands them out in order.
     """
 
     omega: np.random.Generator
     server: np.random.Generator
     clients: list[np.random.Generator]
-    _subsets: deque = field(default_factory=deque, init=False, repr=False)
-    _masks: Array | None = field(default=None, init=False, repr=False)
-    _cursor: Array | None = field(default=None, init=False, repr=False)
+    _rounds: deque = field(default_factory=deque, init=False, repr=False)
     _drawn_for: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -112,42 +112,53 @@ class FedRng:
         omega, server, *clients = spawn(seed, n + 2)
         return cls(omega=omega, server=server, clients=clients)
 
-    def draw_ahead(self, dist: SamplingDistribution, k: int, d: int, rounds: int) -> None:
-        """With no round ahead, draw the next ``rounds`` subsets, then every
-        participant's masks for all of them in one :func:`compress` call."""
-        if self._subsets:
+    def draw_ahead(self, dist: SamplingDistribution, k: int, instance: ProblemInstance,
+                   rounds: int) -> None:
+        """With no round ahead, draw the next ``rounds`` subsets, every
+        participant's masks for all of them in one :func:`compress` call and
+        the server's coins in one call, counting coverage once; ``instance``
+        plans the block's :meth:`~ProblemInstance.kept_rows`."""
+        if self._rounds:
             return
+        d = instance.d
         subsets = [np.array(dist.sample(self.omega), dtype=np.intp) for _ in range(rounds)]
-        uses = np.bincount(np.concatenate(subsets), minlength=len(self.clients))
-        starts = np.cumsum(uses) - uses
+        drawn = np.concatenate(subsets)
+        uses = np.bincount(drawn, minlength=len(self.clients))
         masks = compress([self.clients[i] for i in np.flatnonzero(uses)], d, k, uses[uses > 0])
-        self._subsets.extend(subsets)
-        self._masks, self._cursor, self._drawn_for = masks, starts, (dist, k, d)
+        # compress stacks each client's masks in turn: a draw's mask is at
+        # its stable rank among the draws sorted by client
+        masks = masks[np.argsort(np.argsort(drawn, kind="stable"))]
+        sizes = [s.size for s in subsets]
+        # round r counts its coordinates at r d ... r d + d - 1
+        offsets = d * np.repeat(np.arange(rounds), sizes)[:, None]
+        counts = np.bincount((masks + offsets).ravel(), minlength=rounds * d).reshape(rounds, d)
+        opens = (counts == 0).sum(1)
+        coins = np.split(self.server.random(opens.sum()), np.cumsum(opens)[:-1])
+        self._rounds.extend(zip(subsets, instance.kept_rows(masks, sizes), counts, coins))
+        self._drawn_for = (dist, k, d)
 
-    def next_round(self, dist: SamplingDistribution, k: int, d: int) -> tuple[Array, Array]:
-        """The next round's members and their (members, k) masks in member order.
-
-        With no round ahead, a block of one round is drawn first.
-        """
-        self.draw_ahead(dist, k, d, 1)
-        if self._drawn_for != (dist, k, d):
+    def next_round(self, dist: SamplingDistribution, k: int, instance: ProblemInstance) -> tuple:
+        """The next round drawn ahead: its members, their masks as
+        :class:`~multiprox.problems.KeptRows`, each coordinate's message count
+        and one server coin per uncovered coordinate. With none ahead, a
+        block of one round is drawn."""
+        self.draw_ahead(dist, k, instance, 1)
+        if self._drawn_for != (dist, k, instance.d):
             raise ConfigurationError("the rounds drawn ahead belong to another law, k or d")
-        members = self._subsets.popleft()
-        rows = self._cursor[members]
-        self._cursor[members] += 1
-        return members, self._masks[rows]
+        return self._rounds.popleft()
 
 
 def compress(rngs: list[np.random.Generator], d: int, k: int, counts: Array | list[int]) -> Array:
     """Unscaled rand-k masks, ``counts[j]`` from each client stream ``rngs[j]``,
-    as sorted rows stacked in client order. Client j's rows and its stream's
-    final state equal those of ``counts[j]`` successive
-    ``np.sort(rngs[j].choice(d, size=k, replace=False))`` calls."""
+    as sorted rows stacked in client order, in int32 to halve a block's
+    plan. Client j's rows and its stream's final state equal those of
+    ``counts[j]`` successive ``np.sort(rngs[j].choice(d, size=k, replace=False))``
+    calls."""
     if not 1 <= k <= d:
         raise ConfigurationError(f"need 1 <= k <= d, got k={k}, d={d}")
     if k <= _REPLAY_MAX_K:
         return _floyd_masks(rngs, d, k, counts)
-    masks = np.empty((sum(counts), k), dtype=np.int64)
+    masks = np.empty((sum(counts), k), dtype=np.int32)
     for row, j in zip(masks, np.repeat(np.arange(len(rngs)), counts).tolist()):
         row[:] = np.sort(rngs[j].choice(d, size=k, replace=False))
     return masks
@@ -167,7 +178,7 @@ def _floyd_masks(rngs: list[np.random.Generator], d: int, k: int,
     highs = np.concatenate((bounds, np.arange(k - 1, 0, -1))) + 1
     tiled = np.tile(highs, max(counts, default=0))
     # column j holds mask j's Floyd values; the shuffle's draws are dropped
-    kept = np.empty((k, sum(counts)), dtype=np.int64)
+    kept = np.empty((k, sum(counts)), dtype=np.int32)
     for rng, end, count in zip(rngs, np.cumsum(counts).tolist(), counts):
         draws = rng.integers(0, tiled[:count * highs.size]).reshape(count, highs.size)
         kept[:, end - count:end] = draws[:, :k].T
@@ -184,28 +195,24 @@ def rescale(
     x_hat: Array,
     x_prev: Array,
     p_hat: float,
-    rng: np.random.Generator,
+    counts: Array,
+    coins: Array,
 ) -> Array:
     """Per-coordinate server reconstruction of the next point.
 
-    ``values[j]`` is a received correction at coordinate ``cols[j]``. A
-    coordinate covered by m > 0 of them takes the forward-backward value
-    plus their mean. Uncovered coordinates flip the acceptance coin, one
-    uniform per coordinate in increasing order.
+    ``values[j]`` is a received correction at coordinate ``cols[j]``, and
+    ``counts[i]`` the number at coordinate i. A coordinate covered by m > 0
+    of them takes the forward-backward value plus their mean. Uncovered
+    coordinates flip the acceptance coin, ``coins`` holding one uniform per
+    coordinate in increasing order, drawn with the round's block.
     """
-    d = x_hat.size
     # bincount adds in message order, as a loop of scatter-adds would
-    sums = np.bincount(cols, weights=values, minlength=d)
-    counts = np.bincount(cols, minlength=d)
-    covered = counts > 0
-    x_next = np.empty(d)
-    x_next[covered] = x_hat[covered] + sums[covered] / counts[covered]
-    open_idx = np.flatnonzero(~covered)
-    if open_idx.size:
-        coins = rng.random(open_idx.size)
-        x_next[open_idx] = np.where(
-            coins < p_hat, x_hat[open_idx], x_prev[open_idx]
-        )
+    sums = np.bincount(cols, weights=values, minlength=x_hat.size)
+    # an uncovered coordinate divides a zero sum by one here and is set below
+    x_next = x_hat + sums / np.maximum(counts, 1)
+    if coins.size:
+        open_idx = np.flatnonzero(counts == 0)
+        x_next[open_idx] = np.where(coins < p_hat, x_hat[open_idx], x_prev[open_idx])
     return x_next
 
 
@@ -292,7 +299,8 @@ def derive_fed_params(
 # The round
 
 
-def _check_clients(rngs: FedRng, instance: ProblemInstance) -> None:
+def _check_clients(rngs: FedRng, instance: ProblemInstance, dist: SamplingDistribution) -> None:
+    _check_law(dist, instance)
     if len(rngs.clients) != instance.n:
         raise ConfigurationError(
             f"need one client generator per component: got {len(rngs.clients)} "
@@ -309,32 +317,37 @@ def fed_step(
 ) -> None:
     """One federated round, in place, with communication accounting.
 
-    The round's subset and masks are the next ones ``rngs`` has drawn ahead;
-    with none ahead, it draws a block of this one round.
+    The round is the next one ``rngs`` has drawn ahead; with none ahead, it
+    draws a block of this one round.
     """
-    _check_clients(rngs, instance)
+    _check_clients(rngs, instance, dist)
     params = fed.solver
     gamma = gamma_at(params.schedule, state.t)
     x = state.x
     xhat = _forward(instance, gamma, x, state.u_bar)
-    members, masks = rngs.next_round(dist, fed.k, instance.d)
+    members, kept, counts, coins = rngs.next_round(dist, fed.k, instance)
+    masks = kept.cols
     cols = masks.ravel()
     values = np.zeros(0)
     scaled_sum = np.zeros(instance.d)
     if members.size:
-        eta = params.eta[members]
+        every = members.size == instance.n
+        eta = params.eta if every else params.eta[members]
         ge = gamma * eta
+        V = (state.u if every else state.u[members]) * ge[:, None]
+        V += xhat
         # every participant's kept coordinates, unscaled, in member order
-        kept = instance.prox_rows(members, ge, xhat + ge[:, None] * state.u[members], masks)
-        values = kept.ravel() - xhat[cols]
+        values = instance.prox_rows(members, ge, V, kept) - xhat.take(masks)
         # Only the coordinates that survived compression move; the rest of
         # each dual vector stays, so u_i generally leaves the subgradient set.
-        state.u[np.repeat(members, fed.k), cols] -= values / np.repeat(ge, fed.k)
+        flat = masks + (members * instance.d)[:, None]
+        # every index is in range; mode "raise" would copy the whole array first
+        state.u.put(flat, state.u.take(flat) - values / ge[:, None], mode="clip")
         state.moved.update(members.tolist())
         # bincount adds in member order, as a loop of scatter-adds would
-        scaled_sum = np.bincount(cols, weights=values / np.repeat(eta, fed.k),
+        scaled_sum = np.bincount(cols, weights=(values / eta[:, None]).ravel(),
                                  minlength=instance.d)
-    state.x = rescale(cols, values, xhat, x, params.p_hat, rngs.server)
+    state.x = rescale(cols, values.ravel(), xhat, x, params.p_hat, counts, coins)
     state.u_bar = state.u_bar - scaled_sum / (instance.n * gamma)
     state.t += 1
     ledger.rounds += 1
@@ -362,13 +375,13 @@ def fed_run(
     """
     if not isinstance(rngs, FedRng):
         rngs = FedRng.from_seed(rngs, instance.n)
-    _check_clients(rngs, instance)
+    _check_clients(rngs, instance, dist)
     state = initial_state(instance, x0=x0)
     ledger = CommLedger()
 
     def advance():
         # blocks end at T, so every generator ends where per-round draws leave it
-        rngs.draw_ahead(dist, fed.k, instance.d, min(BLOCK_ROUNDS, T - state.t))
+        rngs.draw_ahead(dist, fed.k, instance, min(BLOCK_ROUNDS, T - state.t))
         fed_step(state, instance, fed, dist, rngs, ledger)
 
     _drive(state, instance, fed.solver, fed.spec, T, advance, sink,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -260,6 +260,8 @@ class ProblemInstance:
     payload: dict = field(default_factory=dict, repr=False)
     n: int = field(init=False)
     d: int = field(init=False)
+    # prox_rows' stepsize arrays for the last stepsizes that drew every component
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", len(self.h))
@@ -276,19 +278,21 @@ class ProblemInstance:
         return [o.L for o in self.h]
 
     def prox_rows(self, members: Array, gammas: Array, V: Array,
-                  cols: Array | None = None) -> Array:
+                  cols: "Array | KeptRows | None" = None) -> Array:
         """Row j: the prox of h_{members[j]} with stepsize gammas[j] at V[j].
 
         With ``cols``, an (m, k) array of sorted coordinates, only those are
         returned: the (m, k) array ``prox_rows(members, gammas, V)[j, cols[j]]``,
-        equal to it bit for bit.
+        equal to it bit for bit. ``cols`` may also come as one of the
+        :class:`KeptRows` that :meth:`kept_rows` plans for many rounds at once.
 
         An instance whose payload holds the stacked spectral arrays ``q``,
         ``lam`` and ``b`` of its components, as the generated quadratic
         families do, solves every row at once from them with the arithmetic
         of :func:`quadratic_prox` (two stacked matrix-vector products), and
-        gathers no eigenbases when every component is drawn. Any other
-        instance calls its oracles one by one and gathers ``cols`` after.
+        gathers no eigenbases when every component is drawn; it then keeps
+        the stepsize arrays for the calls that follow with the same stepsizes.
+        Any other instance calls its oracles one by one and gathers ``cols`` after.
 
         With ``cols`` and every component drawn, the first product stays
         whole and the second reads only the eigenbasis rows
@@ -307,6 +311,9 @@ class ProblemInstance:
         ``tests/test_problems.py::test_kept_rows_match_the_blas_row_blocking``
         names.
         """
+        layout = None
+        if isinstance(cols, KeptRows):
+            cols, layout = cols
         if not {"q", "lam", "b"} <= self.payload.keys():
             y = np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
         else:
@@ -316,18 +323,38 @@ class ProblemInstance:
             gathered = len(members) < self.n
             if gathered:
                 q, lam, b = q[members], lam[members], b[members]
-            w = np.matmul(q.transpose(0, 2, 1), (V + gammas[:, None] * b)[..., None])
-            w /= (1.0 + gammas[:, None] * lam)[..., None]
-            layout = None
-            if cols is not None and not gathered:
+            steps = {} if gathered else self._steps
+            key = (gammas.dtype.str, gammas.tobytes())
+            if steps.get("key") != key:
+                steps.update(key=key, shift=gammas[:, None] * b, scale=1.0 + gammas[:, None] * lam)
+            w = np.matmul(q.transpose(0, 2, 1), (V + steps["shift"])[..., None])
+            w /= steps["scale"][..., None]
+            if cols is None or gathered:
+                layout = None
+            elif layout is None:
                 layout = _kept_row_layout(cols, self.d)
             if layout is not None:
                 rows, where = layout
                 pick = np.arange(len(members))[:, None]
                 kept_q = q.reshape(-1, self.d).take(pick * self.d + rows, axis=0)
-                return np.matmul(kept_q, w)[..., 0][pick, where]
+                return np.matmul(kept_q, w)[..., 0].take(pick * rows.shape[1] + where)
             y = np.matmul(q, w)[..., 0]
         return y if cols is None else y[np.arange(len(members))[:, None], cols]
+
+    def kept_rows(self, masks: Array, sizes: list[int]) -> list["KeptRows"]:
+        """Each round's :class:`KeptRows` for a block of rounds whose sorted
+        masks come stacked, ``sizes[r]`` rows for round r, laid out at once
+        where :meth:`prox_rows` would lay out every round's."""
+        ends = np.cumsum(sizes).tolist()
+        spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        layout = None
+        if {"q", "lam", "b"} <= self.payload.keys() and all(size == self.n for size in sizes):
+            layout = _kept_row_layout(masks, self.d)
+        if layout is None:
+            return [KeptRows(masks[at], None) for at in spans]
+        rows, where = layout
+        # the rows start with the masks, which then keep no copy of their own
+        return [KeptRows(rows[at, :masks.shape[1]], (rows[at], where[at])) for at in spans]
 
     def optimality_residual(self) -> float:
         """Norm of grad f(x*) + mean u* (+ mu_g shrinkage when g is a known sqnorm)."""
@@ -335,6 +362,13 @@ class ProblemInstance:
         if self.g.grad_at is not None:
             r = r + self.g.grad_at(self.x_star)
         return float(np.linalg.norm(r))
+
+
+class KeptRows(NamedTuple):
+    """Sorted (m, k) ``cols`` for :meth:`ProblemInstance.prox_rows` and their layout or None."""
+
+    cols: Array
+    layout: tuple[Array, Array] | None
 
 
 def _kept_row_layout(cols: Array, d: int) -> tuple[Array, Array] | None:
@@ -355,10 +389,12 @@ def _kept_row_layout(cols: Array, d: int) -> tuple[Array, Array] | None:
     if width > KEPT_ROWS_MAX_SHARE * d:
         return None
     head = d - d % 4
-    rows = cols[:, np.minimum(np.arange(width), k - 1)]
-    if head < d:
-        rows = np.concatenate((rows, np.broadcast_to(np.arange(head, d), (m, d - head))), axis=1)
-    where = np.where(cols < head, np.arange(k), width + cols - head)
+    rows = np.empty((m, width + d - head), dtype=cols.dtype)
+    rows[:, :k] = cols
+    rows[:, k:width] = cols[:, k - 1:]
+    rows[:, width:] = np.arange(head, d)
+    where = cols + (width - head)
+    np.copyto(where, np.arange(k, dtype=cols.dtype), where=cols < head)
     return rows, where
 
 

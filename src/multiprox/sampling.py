@@ -45,6 +45,7 @@ class SamplingDistribution:
     # Law-specific interface -------------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """One draw: its members, each once and in increasing order."""
         raise NotImplementedError
 
     def inclusion_probs(self) -> Array:
@@ -93,6 +94,14 @@ class SamplingDistribution:
             raise ConfigurationError(
                 f"empty-subset probability must lie in [0, 1), got {self.empty_prob()}"
             )
+
+
+def _choice_cdf(p: Array) -> Array:
+    """The cdf ``Generator.choice(len(p), p=p)`` builds on every call and inverts
+    one uniform against; built once, it draws the same index from the same stream."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _tilde_from_support(n: int, support: Support) -> Array:
@@ -171,10 +180,7 @@ class SingletonWeighted(SamplingDistribution):
         if np.any(q <= 0) or abs(q.sum() - 1.0) > _PROB_TOL:
             raise ConfigurationError("singleton weights must be positive and sum to 1")
         self.q = q
-        # Generator.choice(n, p=q) builds this cdf on every call and inverts
-        # one uniform against it; building it once keeps draws and stream.
-        self._cdf = q.cumsum()
-        self._cdf /= self._cdf[-1]
+        self._cdf = _choice_cdf(q)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         return (int(self._cdf.searchsorted(rng.random(), side="right")),)
@@ -268,12 +274,11 @@ class ExplicitSupport(SamplingDistribution):
             raise ConfigurationError(f"support probabilities sum to {total}, not 1")
         self.support: Support = sorted(seen.items())
         self._members = [m for m, _ in self.support]
-        self._probs = np.array([p for _, p in self.support])
+        self._cdf = _choice_cdf(np.array([p for _, p in self.support]))
         self.validate_proper()
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        idx = int(rng.choice(len(self._members), p=self._probs))
-        return self._members[idx]
+        return self._members[int(self._cdf.searchsorted(rng.random(), side="right"))]
 
     def inclusion_probs(self) -> Array:
         p = np.zeros(self.n)

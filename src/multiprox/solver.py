@@ -214,6 +214,11 @@ def initial_state(
 # Parameter derivation
 
 
+def _check_law(dist: SamplingDistribution, instance: ProblemInstance) -> None:
+    if dist.n != instance.n:
+        raise ConfigurationError(f"law over {dist.n} components, problem has {instance.n}")
+
+
 def derive_params(
     instance: ProblemInstance,
     dist: SamplingDistribution,
@@ -228,8 +233,7 @@ def derive_params(
     closed form; it is honored when it stays within 1/(1 + gamma mu_hat) for
     that transfer and rejected otherwise, never silently adjusted.
     """
-    if dist.n != instance.n:
-        raise ConfigurationError(f"law over {dist.n} components, problem has {instance.n}")
+    _check_law(dist, instance)
     dist.validate_proper()
     tilde = dist.tilde_probs()
     p_empty = dist.empty_prob()
@@ -512,6 +516,7 @@ def run(
     always including t0 + T. Metrics are only computed when the sink fires,
     so sparse cadences keep long runs cheap.
     """
+    _check_law(dist, instance)
     if state is None:
         state = initial_state(instance, track_z=params.track_z)
     _drive(state, instance, params, lyapunov_spec, T,

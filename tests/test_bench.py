@@ -508,8 +508,10 @@ class TestTracedSurface:
         # every exp2 step draws one index and runs its hyperplane prox
         assert count["sampling.sample.uniform_minibatch"] == 200
         assert count["problems.prox.hyperplane_ridge"] == 200
-        # one budget x 2 replicates x 30 rounds
+        # one budget x 2 replicates x 30 rounds, each with one reconstruction
+        # whose coins its block drew
         assert count["federated.fed_step"] == 60
+        assert count["federated.rescale"] == 60
         # each replicate's 30 rounds are one block, whose masks are one call
         assert count["federated.compress"] == 2
         assert count["problems.generate_instance"] == 2

@@ -8,12 +8,15 @@ pure identity. Second, Monte-Carlo one-round averages of fed_step itself are
 compared against that enumeration, which exercises the real stream plumbing.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiprox import (
+    Adaptive,
     CommLedger,
     ConfigurationError,
     Constant,
@@ -131,31 +134,38 @@ class TestCompress:
                 assert repr(g.bit_generator.state) == repr(h.bit_generator.state), (d, k)
 
 
+def coverage(cols, d, rng):
+    """A round's coverage as its block draws it: messages per coordinate, then
+    one server uniform per uncovered coordinate."""
+    counts = np.bincount(cols, minlength=d)
+    return counts, rng.random(int((counts == 0).sum()))
+
+
 class TestRescale:
     def test_covered_and_open_coordinates(self):
         x_hat = np.array([1.0, 2.0, 3.0])
         x_prev = np.array([-1.0, -2.0, -3.0])
         cols = np.array([0, 1, 1])
         values = np.array([0.5, 4.0, 6.0])
-        keep = rescale(cols, values, x_hat, x_prev, 1.0, generator(0))
+        keep = rescale(cols, values, x_hat, x_prev, 1.0, *coverage(cols, 3, generator(0)))
         assert abs(keep[0] - 1.5) <= 1e-15
         assert abs(keep[1] - (2.0 + 5.0)) <= 1e-15
         assert keep[2] == 3.0
-        drop = rescale(cols, values, x_hat, x_prev, 0.0, generator(0))
+        drop = rescale(cols, values, x_hat, x_prev, 0.0, *coverage(cols, 3, generator(0)))
         assert drop[2] == -3.0
 
     def test_no_messages_with_certain_acceptance_gives_forward_point(self):
         x_hat = np.array([1.0, 2.0])
-        out = rescale(np.zeros(0, dtype=np.intp), np.zeros(0), x_hat, np.zeros(2), 1.0,
-                      generator(0))
+        none = np.zeros(0, dtype=np.intp)
+        out = rescale(none, np.zeros(0), x_hat, np.zeros(2), 1.0, *coverage(none, 2, generator(0)))
         assert np.array_equal(out, x_hat)
 
     def test_open_coins_drawn_in_one_block_of_increasing_coordinates(self):
         x_hat = np.ones(5)
         x_prev = np.zeros(5)
         seed = 9
-        out = rescale(np.zeros(0, dtype=np.intp), np.zeros(0), x_hat, x_prev, 0.5,
-                      generator(seed))
+        none = np.zeros(0, dtype=np.intp)
+        out = rescale(none, np.zeros(0), x_hat, x_prev, 0.5, *coverage(none, 5, generator(seed)))
         coins = generator(seed).random(5)
         assert np.array_equal(out, np.where(coins < 0.5, x_hat, x_prev))
 
@@ -387,12 +397,25 @@ class TestFedStep:
                 fed_step(initial_state(inst), inst, fed, dist, fed_rngs(0, 1, clients),
                          CommLedger())
 
+    @pytest.mark.parametrize("law", [UniformMinibatch(9, 2), FullBatch(4)],
+                             ids=["wider", "narrower"])
+    def test_a_law_over_another_client_count_is_refused(self, law):
+        # a wider law would draw clients that do not exist, a narrower one
+        # would never draw the last of them
+        inst = small_exact_instance(n=6, d=5)
+        fed = derive_fed_params(inst, UniformMinibatch(6, 2), 2)
+        with pytest.raises(ConfigurationError, match="law over"):
+            fed_run(inst, fed, law, 3, 20)
+        with pytest.raises(ConfigurationError, match="law over"):
+            fed_step(initial_state(inst), inst, fed, law, FedRng.from_seed(3, 6),
+                     CommLedger())
+
     def test_rounds_drawn_for_another_k_are_refused(self):
         inst = small_exact_instance(n=4, d=4, mu=1.0, l_max=3.0)
         dist = UniformMinibatch(4, 2)
         fed = derive_fed_params(inst, dist, 2)
         rngs = FedRng.from_seed(3, 4)
-        rngs.draw_ahead(dist, 1, 4, 3)
+        rngs.draw_ahead(dist, 1, inst, 3)
         with pytest.raises(ConfigurationError):
             fed_step(initial_state(inst), inst, fed, dist, rngs, CommLedger())
 
@@ -534,6 +557,19 @@ class TestThinningReduction:
 
 # ---------------------------------------------------------------------------
 # fed_run
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_instance(n, d):
+    return generate_instance("exp3", 11, n=n, d=d, mu=1.0, l_max=20.0)
+
+
+class _Descending(UniformMinibatch):
+    """UniformMinibatch's draws with the members in decreasing order, against
+    the contract of ``sample``, on which only a round of every member relies."""
+
+    def sample(self, rng):
+        return super().sample(rng)[::-1]
 
 
 class TestFedRun:
@@ -679,8 +715,10 @@ class TestFedRun:
     @pytest.mark.parametrize("law", ["full_batch", "minibatch", "independent"])
     def test_block_masks_equal_successive_choice_calls(self, law):
         # an independent reference: each client's masks, as next_round hands
-        # them out, against choice calls on a fresh copy of its generator
+        # them out, against choice calls on a fresh copy of its generator,
+        # and each round's coins against a call of its own on the server's
         n, d = 7, 6
+        inst = small_exact_instance(n=n, d=d)
         dist = {
             "full_batch": FullBatch(n),
             "minibatch": UniformMinibatch(n, 3),
@@ -690,11 +728,15 @@ class TestFedRun:
         for k in (1, 3, d):
             for rounds in (1, 2, 5):
                 rngs, ref = FedRng.from_seed(23, n), FedRng.from_seed(23, n)
-                rngs.draw_ahead(dist, k, d, rounds)
+                rngs.draw_ahead(dist, k, inst, rounds)
                 got = [[] for _ in range(n)]
                 for _ in range(rounds):
-                    members, masks = rngs.next_round(dist, k, d)
+                    members, (masks, *_), counts, coins = rngs.next_round(dist, k, inst)
                     assert np.array_equal(members, np.asarray(dist.sample(ref.omega), dtype=int))
+                    # the block's coins equal one server call per round
+                    want_counts, want_coins = coverage(masks.ravel(), d, ref.server)
+                    assert np.array_equal(counts, want_counts)
+                    assert np.array_equal(coins, want_coins)
                     for i, mask in zip(members.tolist(), masks):
                         got[i].append(mask)
                 for i, g in enumerate(ref.clients):
@@ -708,6 +750,57 @@ class TestFedRun:
         # some drew none, whose generators the block left alone
         assert any(0 < count < 2 * k for count, k in counts_seen)
         assert any(count == 0 for count, _ in counts_seen) == (law != "full_batch")
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(["full_batch", "minibatch", "independent", "explicit",
+                                "adaptive", "descending"]),
+           d=st.sampled_from([6, 20, 23]), k_share=st.floats(0.0, 1.0),
+           s=st.integers(1, 5), T=st.integers(0, BLOCK_ROUNDS + 5),
+           seed=st.integers(0, 2**32 - 1))
+    # k on either side of the kept-row crossover, with and without tail rows
+    @example(law="full_batch", d=20, k_share=3 / 19, s=1, T=BLOCK_ROUNDS + 3, seed=0)
+    @example(law="full_batch", d=20, k_share=4 / 19, s=1, T=BLOCK_ROUNDS + 3, seed=1)
+    @example(law="adaptive", d=23, k_share=1 / 22, s=1, T=BLOCK_ROUNDS + 3, seed=2)
+    @example(law="explicit", d=23, k_share=0.0, s=1, T=BLOCK_ROUNDS + 3, seed=3)
+    @example(law="independent", d=20, k_share=0.0, s=1, T=BLOCK_ROUNDS + 3, seed=4)
+    @example(law="descending", d=6, k_share=0.0, s=3, T=3, seed=5)
+    def test_planned_blocks_equal_standalone_rounds(self, law, d, k_share, s, T, seed):
+        # fed_run plans blocks of up to BLOCK_ROUNDS rounds; standalone
+        # fed_step calls plan one round each
+        n = 5
+        k = 1 + int(k_share * (d - 1))
+        inst = _plan_instance(n, d)
+        dist = {
+            "full_batch": FullBatch(n),
+            "minibatch": UniformMinibatch(n, s),
+            "independent": IndependentParticipation(np.linspace(0.05, 0.4, n)),
+            "explicit": ExplicitSupport(n, [((), 0.4), ((0, 2), 0.3), (tuple(range(n)), 0.3)]),
+            "adaptive": FullBatch(n),
+            # a round of some members hands each member its own masks
+            "descending": _Descending(n, min(s, n - 1)),
+        }[law]
+        if law == "adaptive":
+            # the stepsize changes every round, and with it the prox's arrays
+            fed = FedParams(solver=SolverParams(np.ones(n), 0.5, 0.0, 0.0, Adaptive(1.0, 6.0)),
+                            k=k, effective=compressed_view(dist, k, d), spec=None)
+        else:
+            fed = derive_fed_params(inst, dist, k,
+                                    gamma=0.02 if law in ("independent", "explicit") else None)
+        x0 = np.full(d, 3.0)
+        rngs = FedRng.from_seed(seed, n)
+        state, _, ledger = fed_run(inst, fed, dist, rngs, T, x0=x0)
+        solo_rngs = FedRng.from_seed(seed, n)
+        solo = initial_state(inst, x0=x0)
+        solo_ledger = CommLedger()
+        for _ in range(T):
+            fed_step(solo, inst, fed, dist, solo_rngs, solo_ledger)
+        assert state.t == solo.t == T
+        for name in ("x", "u", "u_bar"):
+            assert np.array_equal(getattr(state, name), getattr(solo, name))
+        assert vars(ledger) == vars(solo_ledger)
+        for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
+                        [solo_rngs.omega, solo_rngs.server, *solo_rngs.clients]):
+            assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
 
     def test_divergence_reports_the_round(self):
         inst = ProblemInstance(

@@ -420,6 +420,20 @@ def test_batched_prox_equals_the_per_oracle_prox(kind, params, subset):
     assert np.array_equal(inst.prox_rows(members, gammas, V), expected)
 
 
+def test_the_kept_stepsize_arrays_follow_the_stepsizes():
+    # prox_rows keeps the stepsize arrays of a call that draws every
+    # component; a call with other stepsizes, or the same in another order,
+    # builds them afresh
+    inst = generate_instance("exp3", 9, n=5, d=6)
+    rng = np.random.default_rng(3)
+    members = np.arange(inst.n)
+    V = 10.0 * rng.standard_normal((inst.n, inst.d))
+    first = rng.uniform(0.01, 3.0, size=inst.n)
+    for gammas in (first, first, 2.0 * first, first[::-1], first):
+        expected = np.stack([inst.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
+        assert np.array_equal(inst.prox_rows(members, gammas, V), expected)
+
+
 def test_an_instance_without_stacked_arrays_calls_its_oracles():
     inst = generate_instance("exp3", 9, n=4, d=5)
     calls = []

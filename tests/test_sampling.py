@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiprox.errors import ConfigurationError, UnsupportedExact
@@ -182,6 +182,28 @@ def test_singleton_draws_replay_rng_choice(seed):
     for _ in range(2000):
         assert dist.sample(ours) == (int(theirs.choice(n, p=dist.q)),)
     assert ours.random() == theirs.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), picks=st.lists(st.integers(0, 63), min_size=1, max_size=12),
+       weights=st.lists(st.sampled_from([0.0, 1e-6, 0.3, 1.0, 7.5]), min_size=14, max_size=14),
+       seed=st.integers(0, 2**32 - 1))
+# fourteen subsets, most of them with probability zero
+@example(n=4, picks=list(range(1, 13)), weights=[0.0] * 14, seed=0)
+def test_explicit_draws_replay_rng_choice(n, picks, weights, seed):
+    """Draw for draw, and stream position after, the same as
+    rng.choice(len(support), p=probs) over the law's sorted support."""
+    # bit masks of the index set: 0 is the empty set, and the full set keeps
+    # the law proper
+    subsets = {tuple(i for i in range(n) if bits >> i & 1) for bits in (2**n - 1, 0, *picks)}
+    raw = [(members, weights[j] + (len(members) == n)) for j, members in enumerate(subsets)]
+    total = sum(w for _, w in raw)
+    dist = ExplicitSupport(n, [(members, w / total) for members, w in raw])
+    probs = np.array([prob for _, prob in dist.support])
+    ours, theirs = generator(seed), generator(seed)
+    for _ in range(300):
+        assert dist.sample(ours) == dist.support[int(theirs.choice(len(probs), p=probs))][0]
+    assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
 
 
 def test_thinned_view_flattens_nesting():

@@ -1180,6 +1180,19 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(inst, params, law, generator(0), -1)
 
+    @pytest.mark.parametrize("law", [UniformMinibatch(9, 1), UniformMinibatch(4, 1)],
+                             ids=["wider", "narrower"])
+    def test_a_law_over_another_component_count_is_refused(self, law):
+        # a wider law would index past the components, a narrower one would
+        # never draw the last of them; either is refused before any step
+        inst = generate_instance("exp2", 0, d=6)
+        params = derive_params(inst, UniformMinibatch(6, 1), Constant(0.1))
+        rng = generator(0)
+        before = repr(rng.bit_generator.state)
+        with pytest.raises(ConfigurationError, match="law over"):
+            run(inst, params, law, rng, 50)
+        assert repr(rng.bit_generator.state) == before
+
     def test_same_seed_gives_identical_traces(self):
         inst = generate_instance("exp3", 12, n=4, d=5, mu=0.5, l_max=6.0)
         law = IndependentParticipation([0.5, 0.6, 0.7, 0.8])
