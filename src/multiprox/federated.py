@@ -28,11 +28,13 @@ A round works on all participants at once: one
 :meth:`~multiprox.problems.ProblemInstance.prox_rows` call with the round's
 masks returns only the kept coordinates of every participant's prox. For
 the generated quadratic families it solves them in one batched call that,
-when every client takes part, reads only the eigenbasis rows behind the
-kept coordinates, bit for bit equal to keeping them from the full prox.
-The instance lays out the kept rows once per block and builds the prox's
-stepsize arrays once per stepsize. The duals and server sums then move with
-one scatter each, adding in member order as a per-client loop would.
+in a round the block's plan laid out, reads only the eigenbasis rows behind
+the kept coordinates, bit for bit equal to keeping them from the full prox.
+:meth:`~multiprox.problems.ProblemInstance.kept_rows` plans each block once
+and lays out every round in it that draws every client; the instance builds
+the prox's stepsize arrays once per stepsize. The duals and server sums
+then move with one scatter each, adding in member order as a per-client
+loop would.
 """
 
 from __future__ import annotations
@@ -118,6 +120,8 @@ class FedRng:
         participant's masks for all of them in one :func:`compress` call and
         the server's coins in one call, counting coverage once; ``instance``
         plans the block's :meth:`~ProblemInstance.kept_rows`."""
+        if rounds < 1:
+            raise ConfigurationError(f"a block needs at least one round, got {rounds}")
         if self._rounds:
             return
         d = instance.d

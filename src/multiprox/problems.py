@@ -27,9 +27,8 @@ Array = np.ndarray
 _ORTHO_TOL = 1e-10
 _OPT_RESIDUAL_TOL = 1e-8
 
-# A kept-row prox product gathers at most this share of each eigenbasis's
-# rows; past it, the full product and one gather of its outputs cost less
-# (at n = d = 100 on one core the two break even near d/5).
+# The largest share of d a round's padded kept rows may take; see
+# ProblemInstance.kept_rows, the one reader.
 KEPT_ROWS_MAX_SHARE = 0.2
 
 
@@ -278,13 +277,12 @@ class ProblemInstance:
         return [o.L for o in self.h]
 
     def prox_rows(self, members: Array, gammas: Array, V: Array,
-                  cols: "Array | KeptRows | None" = None) -> Array:
+                  kept: "KeptRows | None" = None) -> Array:
         """Row j: the prox of h_{members[j]} with stepsize gammas[j] at V[j].
 
-        With ``cols``, an (m, k) array of sorted coordinates, only those are
-        returned: the (m, k) array ``prox_rows(members, gammas, V)[j, cols[j]]``,
-        equal to it bit for bit. ``cols`` may also come as one of the
-        :class:`KeptRows` that :meth:`kept_rows` plans for many rounds at once.
+        With ``kept``, one round's :class:`KeptRows` from :meth:`kept_rows`,
+        only the coordinates ``kept.cols`` are returned: the (m, k) array
+        ``prox_rows(members, gammas, V)[j, kept.cols[j]]``, equal to it bit for bit.
 
         An instance whose payload holds the stacked spectral arrays ``q``,
         ``lam`` and ``b`` of its components, as the generated quadratic
@@ -292,28 +290,10 @@ class ProblemInstance:
         of :func:`quadratic_prox` (two stacked matrix-vector products), and
         gathers no eigenbases when every component is drawn; it then keeps
         the stepsize arrays for the calls that follow with the same stepsizes.
-        Any other instance calls its oracles one by one and gathers ``cols`` after.
-
-        With ``cols`` and every component drawn, the first product stays
-        whole and the second reads only the eigenbasis rows
-        :func:`_kept_row_layout` lays out, unless k padded to a multiple of
-        four passes ``KEPT_ROWS_MAX_SHARE`` of d. Otherwise it takes the full
-        product and gathers from it: a round that draws some components
-        copies their eigenbases for the first product, and the second reads
-        that copy from cache, where kept rows cost more than they save (at
-        n = d = 100 and k = 10, 1.03 to 1.4 times the full product's time
-        with 20 down to 2 members).
-
-        The layout copies how the BLAS matrix-vector kernel blocks the full
-        product: rows in blocks of four, then the last d mod 4 rows one by
-        one, each row summed in an order its block position does not
-        change. A BLAS that blocks otherwise breaks the equality, which
-        ``tests/test_problems.py::test_kept_rows_match_the_blas_row_blocking``
-        names.
+        Its second product reads only the rows of ``kept.layout`` when the
+        round has one; otherwise it is whole and the kept values are
+        gathered from it. Any other instance calls its oracles one by one.
         """
-        layout = None
-        if isinstance(cols, KeptRows):
-            cols, layout = cols
         if not {"q", "lam", "b"} <= self.payload.keys():
             y = np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
         else:
@@ -329,32 +309,39 @@ class ProblemInstance:
                 steps.update(key=key, shift=gammas[:, None] * b, scale=1.0 + gammas[:, None] * lam)
             w = np.matmul(q.transpose(0, 2, 1), (V + steps["shift"])[..., None])
             w /= steps["scale"][..., None]
-            if cols is None or gathered:
-                layout = None
-            elif layout is None:
-                layout = _kept_row_layout(cols, self.d)
-            if layout is not None:
-                rows, where = layout
+            if kept is not None and kept.layout is not None:
+                rows, where = kept.layout
                 pick = np.arange(len(members))[:, None]
                 kept_q = q.reshape(-1, self.d).take(pick * self.d + rows, axis=0)
                 return np.matmul(kept_q, w)[..., 0].take(pick * rows.shape[1] + where)
             y = np.matmul(q, w)[..., 0]
-        return y if cols is None else y[np.arange(len(members))[:, None], cols]
+        return y if kept is None else y[np.arange(len(members))[:, None], kept.cols]
 
     def kept_rows(self, masks: Array, sizes: list[int]) -> list["KeptRows"]:
         """Each round's :class:`KeptRows` for a block of rounds whose sorted
-        masks come stacked, ``sizes[r]`` rows for round r, laid out at once
-        where :meth:`prox_rows` would lay out every round's."""
+        masks come stacked, ``sizes[r]`` rows for round r.
+
+        The one place that decides which rounds :meth:`prox_rows` solves
+        from kept rows: those that draw every component of an instance
+        holding the stacked ``q``, ``lam`` and ``b``, while k padded to a
+        multiple of four is at most ``KEPT_ROWS_MAX_SHARE`` of d. Past that
+        share, the full product and one gather cost less (at n = d = 100 on
+        one core they break even near d/5). In a round of some components,
+        the second product reads the first's copy of their eigenbases from
+        cache, and kept rows cost 1.03 to 1.4 times the full product (n = d =
+        100, k = 10, 20 down to 2 members). A row's layout depends only on
+        its own mask and d, so one call lays out the whole block.
+        """
+        k = masks.shape[1]
         ends = np.cumsum(sizes).tolist()
         spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
-        layout = None
-        if {"q", "lam", "b"} <= self.payload.keys() and all(size == self.n for size in sizes):
-            layout = _kept_row_layout(masks, self.d)
-        if layout is None:
+        if not ({"q", "lam", "b"} <= self.payload.keys() and self.n in sizes
+                and _padded(k) <= KEPT_ROWS_MAX_SHARE * self.d):
             return [KeptRows(masks[at], None) for at in spans]
-        rows, where = layout
+        rows, where = _kept_row_layout(masks, self.d)
         # the rows start with the masks, which then keep no copy of their own
-        return [KeptRows(rows[at, :masks.shape[1]], (rows[at], where[at])) for at in spans]
+        return [KeptRows(rows[at, :k], (rows[at], where[at]) if size == self.n else None)
+                for at, size in zip(spans, sizes)]
 
     def optimality_residual(self) -> float:
         """Norm of grad f(x*) + mean u* (+ mu_g shrinkage when g is a known sqnorm)."""
@@ -365,29 +352,36 @@ class ProblemInstance:
 
 
 class KeptRows(NamedTuple):
-    """Sorted (m, k) ``cols`` for :meth:`ProblemInstance.prox_rows` and their layout or None."""
+    """One round's sorted (m, k) kept ``cols`` and, where :meth:`ProblemInstance.kept_rows`
+    lays the round out, the ``(rows, where)`` of :func:`_kept_row_layout`, else None."""
 
     cols: Array
     layout: tuple[Array, Array] | None
 
 
-def _kept_row_layout(cols: Array, d: int) -> tuple[Array, Array] | None:
+def _padded(k: int) -> int:
+    """k rounded up to the BLAS matrix-vector kernel's 4-row blocks."""
+    return 4 * -(-k // 4)
+
+
+def _kept_row_layout(cols: Array, d: int) -> tuple[Array, Array]:
     """The eigenbasis rows a kept-row product gathers, and where each kept value lands.
 
-    Per member: its k kept rows, padded to a multiple of four by repeating
-    the last, then the full product's last d mod 4 rows, whole and in order.
-    A kept row below d - d mod 4 thus sits in a 4-row block, as in the full
-    product; a kept row in the tail is read from the tail, and its copy in
-    the blocks is ignored, as are the pads. Rows of one block do not mix, so
-    what fills the other places changes no value. The floor of four rows
-    also keeps numpy from taking a dot product in place of the
-    matrix-vector kernel at width one. Returns None when the padded width
-    passes ``KEPT_ROWS_MAX_SHARE`` of d.
+    The BLAS matrix-vector kernel sums the full product's rows in blocks of
+    four, then its last d mod 4 rows one by one, each row in an order its
+    block position does not change. So per member: its k kept rows, padded
+    to a multiple of four by repeating the last, then the last d mod 4 rows,
+    whole and in order. A kept row below d - d mod 4 thus sits in a 4-row
+    block, as in the full product; a kept row in the tail is read from the
+    tail, and its copy in the blocks is ignored, as are the pads. Rows of
+    one block do not mix, so what fills the other places changes no value.
+    The floor of four rows also keeps numpy from taking a dot product in
+    place of the matrix-vector kernel at width one. A BLAS that blocks
+    otherwise breaks the equality, which
+    ``tests/test_problems.py::test_kept_rows_match_the_blas_row_blocking`` names.
     """
     m, k = cols.shape
-    width = 4 * -(-k // 4)
-    if width > KEPT_ROWS_MAX_SHARE * d:
-        return None
+    width = _padded(k)
     head = d - d % 4
     rows = np.empty((m, width + d - head), dtype=cols.dtype)
     rows[:, :k] = cols

@@ -5,34 +5,46 @@ import numpy as np
 import pytest
 
 
-def _blas_core() -> str | None:
-    """OpenBLAS's runtime core (the kernel set it picked for this CPU), when exposed."""
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, when it ships one."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("lib*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
+    libs = sorted(libdir.glob("lib*openblas*.so*"))
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
+
+def _blas_call(handle: ctypes.CDLL | None, symbols: tuple[str, ...], restype):
+    """The first of ``symbols`` the library exposes, called with no arguments."""
+    for symbol in symbols:
+        fn = getattr(handle, symbol, None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = restype
+            return fn()
     return None
 
 
 def pytest_report_header(config):
-    # bit-for-bit tests depend on how the BLAS blocks its kernels; name it
-    # in the log so that a mismatch elsewhere can be read from it alone
+    # bit-for-bit tests depend on how the BLAS blocks its kernels and on how
+    # many threads it runs; name both in the log so that a mismatch
+    # elsewhere can be read from it alone
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas.get('name')} {blas.get('version')}"
     except (KeyError, TypeError, AttributeError):
         name = "unknown"
     try:
-        core = _blas_core()
+        handle = _openblas()
     except OSError:
-        core = None
-    return f"numpy {np.__version__}, BLAS {name}, runtime core {core or 'not exposed'}"
+        handle = None
+    # the runtime core is the kernel set OpenBLAS picked for this CPU
+    core = _blas_call(handle, ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                               "openblas_get_corename"), ctypes.c_char_p)
+    threads = _blas_call(handle, ("scipy_openblas_get_num_threads64_",
+                                  "openblas_get_num_threads64_", "openblas_get_num_threads"),
+                         ctypes.c_int)
+    return (f"numpy {np.__version__}, BLAS {name}, "
+            f"runtime core {core.decode() if core else 'not exposed'}, "
+            f"threads {'not exposed' if threads is None else threads}")
 
 
 def pytest_configure(config):

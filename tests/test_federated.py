@@ -49,6 +49,7 @@ from multiprox import (
     zero_prox,
 )
 from multiprox.federated import BLOCK_ROUNDS, _REPLAY_MAX_K, _floyd_masks
+from multiprox.problems import _kept_row_layout
 from multiprox.rates import fed_plan, rho_theorem1, RateInputs
 from multiprox.sampling import compressed_view
 from multiprox.solver import LINEAR_SMOOTH
@@ -800,6 +801,37 @@ class TestFedRun:
         assert vars(ledger) == vars(solo_ledger)
         for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
                         [solo_rngs.omega, solo_rngs.server, *solo_rngs.clients]):
+            assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
+
+    def test_a_mixed_block_lays_out_its_full_rounds(self):
+        # the block's plan decides every layout: a round of every client gets
+        # its own masks' layout whatever the other rounds draw, any other none
+        n, d, k = 5, 20, 3
+        inst = _plan_instance(n, d)
+        dist = ExplicitSupport(n, [((), 0.4), ((0, 2), 0.3), (tuple(range(n)), 0.3)])
+        rngs = FedRng.from_seed(29, n)
+        sizes = []
+        for rounds in (40, 1, 1, 1, 1, 1, 1):
+            rngs.draw_ahead(dist, k, inst, rounds)
+            for _ in range(rounds):
+                members, kept, *_ = rngs.next_round(dist, k, inst)
+                sizes.append(members.size)
+                if members.size == n:
+                    rows, where = _kept_row_layout(kept.cols, d)
+                    assert np.array_equal(kept.layout[0], rows)
+                    assert np.array_equal(kept.layout[1], where)
+                else:
+                    assert kept.layout is None
+        assert {0, 2, n} <= set(sizes[:40])
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_a_block_of_no_rounds_is_refused(self, rounds):
+        inst = _plan_instance(4, 6)
+        rngs, ref = FedRng.from_seed(31, 4), FedRng.from_seed(31, 4)
+        with pytest.raises(ConfigurationError, match=f"at least one round, got {rounds}"):
+            rngs.draw_ahead(FullBatch(4), 2, inst, rounds)
+        for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
+                        [ref.omega, ref.server, *ref.clients]):
             assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
 
     def test_divergence_reports_the_round(self):

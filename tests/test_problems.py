@@ -27,7 +27,6 @@ from multiprox.problems import (
     zero_prox,
     zero_smooth,
 )
-from multiprox.problems import _kept_row_layout
 from multiprox.rng import generator
 
 
@@ -394,13 +393,15 @@ def test_kept_rows_match_the_blas_row_blocking(d_blocks, d_rest, n, k_rest, k_sh
     gammas = rng.uniform(0.01, 3.0, size=m)
     V = 10.0 * rng.standard_normal((m, d))
     full = inst.prox_rows(members, gammas, V)
-    kept = inst.prox_rows(members, gammas, V, cols)
+    kept = inst.prox_rows(members, gammas, V, inst.kept_rows(cols, [m])[0])
     assert kept.shape == (m, k)
     assert np.array_equal(kept, full[np.arange(m)[:, None], cols])
+    # the plan lays out these masks in a round that draws every component
+    layout = _exp3_instance(m, d).kept_rows(cols, [m])[0].layout
     if k_share == 0.0 and k_rest is not None and d >= 4 / KEPT_ROWS_MAX_SHARE:
-        assert _kept_row_layout(cols, d) is not None
+        assert layout is not None
     if k == d:
-        assert _kept_row_layout(cols, d) is None
+        assert layout is None
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -458,9 +459,22 @@ def test_an_instance_without_stacked_arrays_calls_its_oracles():
 def test_kept_row_layout_pads_the_blocks_and_keeps_the_tail_whole():
     # d = 22: rows 0-19 form the product's 4-row blocks, 20 and 21 its tail
     cols = np.array([[3, 7, 21], [0, 20, 21]])
-    rows, where = _kept_row_layout(cols, 22)
+    rows, where = _exp3_instance(2, 22).kept_rows(cols, [2])[0].layout
     assert rows.tolist() == [[3, 7, 21, 21, 20, 21], [0, 20, 21, 21, 20, 21]]
     # each kept value's place in the gathered product: tail rows from the tail
     assert where.tolist() == [[0, 1, 5], [0, 4, 5]]
     # past the crossover, the full product is taken
-    assert _kept_row_layout(np.arange(12)[None, :], 22) is None
+    assert _exp3_instance(1, 22).kept_rows(np.arange(12)[None, :], [1])[0].layout is None
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+@pytest.mark.parametrize("prox", [
+    lambda gamma: generate_instance("exp3", 9, n=3, d=4).prox_rows(
+        np.arange(3), np.array([1.0, gamma, 1.0]), np.zeros((3, 4))),
+    lambda gamma: quadratic_prox(random_quadratic(np.random.default_rng(0), 3), gamma,
+                                 np.zeros(3)),
+    lambda gamma: hyperplane_ridge_prox(np.ones(3), 1.0, 0.5, gamma, np.zeros(3), wnorm2=3.0),
+], ids=["prox_rows", "quadratic_prox", "hyperplane_ridge_prox"])
+def test_a_nonpositive_stepsize_is_refused(prox, gamma):
+    with pytest.raises(ConfigurationError, match="prox needs gamma > 0"):
+        prox(gamma)

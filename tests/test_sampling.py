@@ -1,5 +1,7 @@
 """Subset laws: exact enumeration, closed forms, exchangeable shortcuts."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -211,6 +213,41 @@ def test_thinned_view_flattens_nesting():
     outer = ThinnedView(inner, 0.5)
     assert outer.base is inner.base
     assert outer.keep_ratio == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("base", [
+    ExplicitSupport(3, [((0,), 0.2), ((1, 2), 0.5), ((), 0.3)]),
+    IndependentParticipation([0.3, 0.2, 0.1]),
+], ids=lambda base: base.law)
+def test_thinned_view_draws_no_keep_coin_after_an_empty_base_draw(base):
+    view = ThinnedView(base, 0.5)
+    empty = [seed for seed in range(40) if not base.sample(generator(seed))]
+    drawn = [seed for seed in range(40) if base.sample(generator(seed))]
+    assert empty and drawn
+    for seed in empty[:5] + drawn[:1]:
+        rng, ref = generator(seed), generator(seed)
+        got = view.sample(rng)
+        base.sample(ref)
+        # the view's draw moves the stream past the base draw only when it
+        # has members to keep or drop
+        same = repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert same == (seed in empty)
+        if seed in empty:
+            assert got == ()
+
+
+@pytest.mark.parametrize("dist", [
+    IndependentParticipation([0.3, 0.9, 0.5]),
+    ExplicitSupport(3, [((0,), 0.2), ((1, 2), 0.5), ((), 0.3)]),
+    ThinnedView(ExplicitSupport(3, [((0,), 0.2), ((1, 2), 0.8)]), 0.5),
+], ids=lambda dist: dist.law)
+def test_a_law_config_survives_json_and_names_its_law(dist):
+    config = dist.to_config()
+    assert json.loads(json.dumps(config)) == config
+    assert config["law"] == dist.law
+    if isinstance(dist, ThinnedView):
+        assert config["base"] == dist.base.to_config()
+        assert config["base"]["law"] == "explicit"
 
 
 def test_thinned_full_batch_empty_prob():
