@@ -9,6 +9,7 @@ compared against that enumeration, which exercises the real stream plumbing.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from multiprox import (
     step,
     zero_prox,
 )
+from multiprox import problems
 from multiprox.federated import BLOCK_ROUNDS, _REPLAY_MAX_K, _floyd_masks
 from multiprox.problems import _kept_row_layout
 from multiprox.rates import fed_plan, rho_theorem1, RateInputs
@@ -801,6 +803,42 @@ class TestFedRun:
         assert vars(ledger) == vars(solo_ledger)
         for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
                         [solo_rngs.omega, solo_rngs.server, *solo_rngs.clients]):
+            assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
+
+    @settings(max_examples=25, deadline=None)
+    @given(law=st.sampled_from(["full_batch", "minibatch"]), d=st.sampled_from([20, 23]),
+           k_share=st.floats(0.0, 1.0), T=st.integers(BLOCK_ROUNDS + 1, BLOCK_ROUNDS + 5),
+           seed=st.integers(0, 2**32 - 1))
+    # k on either side of the kept-row share (1 of d = 20 laid out, 12 of 23 not), in
+    # rounds of every and of some clients
+    @example(law="full_batch", d=20, k_share=0.0, T=BLOCK_ROUNDS + 3, seed=0)
+    @example(law="full_batch", d=23, k_share=0.5, T=BLOCK_ROUNDS + 3, seed=1)
+    @example(law="minibatch", d=20, k_share=0.0, T=BLOCK_ROUNDS + 3, seed=2)
+    def test_split_rounds_equal_inline_rounds(self, law, d, k_share, T, seed):
+        # a split threshold of zero splits every round of two or more clients
+        n = 7
+        k = 1 + int(k_share * (d - 1))
+        inst = _plan_instance(n, d)
+        dist = FullBatch(n) if law == "full_batch" else UniformMinibatch(n, 4)
+        fed = derive_fed_params(inst, dist, k)
+        runs = []
+        with mock.patch.object(problems.os, "sched_getaffinity", lambda pid: {0, 1},
+                               create=True):
+            for threshold in (0, float("inf")):
+                with mock.patch.object(problems, "_SPLIT_MIN_BYTES", threshold):
+                    rngs, rows = FedRng.from_seed(seed, n), []
+                    state, _, ledger = fed_run(inst, fed, dist, rngs, T, x0=np.full(d, 3.0),
+                                               sink=lambda *row: rows.append(row))
+                    runs.append((state, vars(ledger), rows, rngs))
+        (state, ledger, rows, rngs), (inline, inline_ledger, inline_rows, inline_rngs) = runs
+        assert problems._helper is not None
+        assert state.t == inline.t == T
+        for name in ("x", "u", "u_bar"):
+            assert np.array_equal(getattr(state, name), getattr(inline, name))
+        assert ledger == inline_ledger
+        assert rows == inline_rows
+        for g, h in zip([rngs.omega, rngs.server, *rngs.clients],
+                        [inline_rngs.omega, inline_rngs.server, *inline_rngs.clients]):
             assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
 
     def test_a_mixed_block_lays_out_its_full_rounds(self):

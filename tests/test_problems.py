@@ -1,7 +1,11 @@
 """Oracle correctness, instance construction, and the batched prox."""
 
 import dataclasses
+import multiprocessing
+import threading
+import time
 import warnings
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multiprox import problems
 from multiprox.errors import ConfigurationError, HypothesisViolation
 from multiprox.problems import (
     INFINITE,
@@ -478,3 +483,145 @@ def test_kept_row_layout_pads_the_blocks_and_keeps_the_tail_whole():
 def test_a_nonpositive_stepsize_is_refused(prox, gamma):
     with pytest.raises(ConfigurationError, match="prox needs gamma > 0"):
         prox(gamma)
+
+
+# ---------------------------------------------------------------------------
+# Split rounds: a helper thread solves the upper half of a large stacked prox
+
+SPLIT_D = 100
+# the smallest odd member count whose eigenbases at SPLIT_D pass the threshold
+SPLIT_M = problems._SPLIT_MIN_BYTES // (8 * SPLIT_D ** 2) + 1
+SPLIT_M += 1 - SPLIT_M % 2
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # the helper runs wherever two CPUs may be used; grant them on any host
+    monkeypatch.setattr(problems.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _split_round(kind, seed=0):
+    """A round past the split threshold at SPLIT_D: the instance, its members,
+    stepsizes, points and kept rows (None for the whole prox)."""
+    n = SPLIT_M + 4 if kind == "subset" else SPLIT_M
+    inst = _exp3_instance(n, SPLIT_D)
+    rng = np.random.default_rng(seed)
+    members = np.sort(rng.choice(n, SPLIT_M, replace=False)) if kind == "subset" \
+        else np.arange(SPLIT_M)
+    k = {"whole": 1, "layout": 10, "no layout": 30, "subset": 10}[kind]
+    cols = np.sort(np.array([rng.choice(SPLIT_D, k, replace=False) for _ in members]),
+                   axis=1).astype(np.int32)
+    kept = None if kind == "whole" else inst.kept_rows(cols, [members.size])[0]
+    gammas = rng.uniform(0.01, 3.0, size=members.size)
+    V = 10.0 * rng.standard_normal((members.size, SPLIT_D))
+    return inst, members, gammas, V, kept
+
+
+@pytest.mark.parametrize("kind", ["whole", "layout", "no layout", "subset"])
+def test_a_split_round_equals_the_oracle_loop_and_the_inline_round(kind, two_cpus,
+                                                                   monkeypatch):
+    inst, members, gammas, V, kept = _split_round(kind)
+    assert SPLIT_M % 2 == 1 and SPLIT_M * 8 * SPLIT_D ** 2 > problems._SPLIT_MIN_BYTES
+    assert (kept is not None and kept.layout is not None) == (kind == "layout")
+    loop = np.stack([inst.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
+    if kept is not None:
+        loop = loop[np.arange(members.size)[:, None], kept.cols]
+    real, helped = problems._split_helper, []
+    monkeypatch.setattr(problems, "_split_helper", lambda: helped.append(1) or real())
+    split = inst.prox_rows(members, gammas, V, kept)
+    assert helped
+    monkeypatch.setattr(problems, "_split_helper", lambda: None)
+    inline = inst.prox_rows(members, gammas, V, kept)
+    assert np.array_equal(split, loop)
+    assert np.array_equal(split, inline)
+
+
+def test_a_round_below_the_threshold_stays_inline(two_cpus, monkeypatch):
+    # criterion 9's federated runs at n = d = 20 never start the helper
+    inst = _exp3_instance(20, 20)
+    helped = []
+    monkeypatch.setattr(problems, "_split_helper", lambda: helped.append(1))
+    inst.prox_rows(np.arange(20), np.full(20, 0.5), np.ones((20, 20)))
+    assert not helped
+
+
+def _forked_split_round(conn, args):
+    # in a child forked after the parent used its helper
+    inherited = problems._helper
+    rows = args[0].prox_rows(*args[1:])
+    conn.send((inherited is None, problems._helper is not None, rows))
+
+
+def test_a_forked_child_runs_a_split_round(two_cpus):
+    args = _split_round("layout")
+    expected = args[0].prox_rows(*args[1:])
+    assert problems._helper is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_split_round, args=(send, args))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's split round hung"
+        dropped, remade, rows = receive.recv()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+    assert dropped and remade
+    assert np.array_equal(rows, expected)
+
+
+def test_an_error_in_the_helpers_half_reaches_the_caller(two_cpus, monkeypatch):
+    inst, members, gammas, V, kept = _split_round("layout")
+    expected = inst.prox_rows(members, gammas, V, kept)
+    upper = SPLIT_M - (SPLIT_M + 1) // 2
+    error, raised_in = RuntimeError("injected"), []
+    matmul = np.matmul
+
+    def faulty(a, *rest, **kwargs):
+        if len(a) == (SPLIT_M + 1) // 2:
+            # the caller's half waits, so the helper surely takes its own
+            time.sleep(0.05)
+        elif len(a) == upper:
+            raised_in.append(threading.current_thread())
+            raise error
+        return matmul(a, *rest, **kwargs)
+
+    monkeypatch.setattr(problems.np, "matmul", faulty)
+    with pytest.raises(RuntimeError) as caught:
+        inst.prox_rows(members, gammas, V, kept)
+    assert caught.value is error
+    assert raised_in and raised_in[0] is not threading.main_thread()
+    monkeypatch.setattr(problems.np, "matmul", matmul)
+    assert np.array_equal(inst.prox_rows(members, gammas, V, kept), expected)
+
+
+def test_a_busy_helper_leaves_its_half_to_the_caller(two_cpus):
+    inst, members, gammas, V, kept = _split_round("layout")
+    expected = inst.prox_rows(members, gammas, V, kept)
+    release = threading.Event()
+    blocker = problems._split_helper().submit(release.wait, 60)
+    try:
+        # the round's upper half queues behind the blocker and is cancelled
+        rows = inst.prox_rows(members, gammas, V, kept)
+        assert not blocker.done()
+        assert np.array_equal(rows, expected)
+        # the cancelled handoff, still queued, keeps none of the round's arrays
+        freed = weakref.ref(rows)
+        del rows
+        assert freed() is None
+    finally:
+        release.set()
+    assert blocker.result() is True
+
+
+def test_one_allowed_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(problems.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(problems, "_helper", None)
+    inst, members, gammas, V, kept = _split_round("layout")
+    threads = threading.active_count()
+    rows = inst.prox_rows(members, gammas, V, kept)
+    assert problems._helper is None
+    assert threading.active_count() == threads
+    loop = np.stack([inst.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
+    assert np.array_equal(rows, loop[np.arange(SPLIT_M)[:, None], kept.cols])
