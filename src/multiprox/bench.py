@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .federated import FedParams, derive_fed_params, fed_run
-from .problems import ProblemInstance, generate_instance
+from .problems import _QR_CHUNK, ProblemInstance, generate_instance
 from .rates import rate_report, uniform_minibatch_plan
 from .rng import generator, spawn
 from .sampling import FullBatch, SamplingDistribution, SingletonWeighted, UniformMinibatch
@@ -304,7 +304,11 @@ def aggregate_replicates(rows: list[TraceRow]) -> list[AggregateRow]:
         block = np.ascontiguousarray(values[:, idx])
         means[:, groups] = block.mean(axis=2)
         if m > 1:
-            stderrs[:, groups] = block[:2].std(axis=2, ddof=1) / np.sqrt(m)
+            with np.errstate(over="ignore"):  # a spread past 1e154 squares to inf
+                spread = block[:2].std(axis=2, ddof=1)
+            huge = np.isinf(spread)  # rescaled by an exact power of two, it does not
+            spread[huge] = 2.0**600 * (block[:2][huge] * 2.0**-600).std(axis=1, ddof=1)
+            stderrs[:, groups] = spread / np.sqrt(m)
         lyap_absent[groups] = lyap_missing[idx].any(axis=1)
         # the first replicate of the group that carries an envelope value
         env = has_env[idx]
@@ -372,13 +376,13 @@ class ExperimentResult:
     files: list[str] = field(default_factory=list)
 
 
-# Peak bytes of generating an instance: tracemalloc peaks around ``instance_for``
-# (one size per process, after a warm-up call), rounded up. exp2 peaked at 4.13
-# (d, d) float64 blocks at d = 400 and 800, exp1 and exp3 at n + 4.1 at n = 1,
-# d = 400; objects add up to 1 KiB per component. Twelve sizes from d = 20 to
-# 800 peaked at 0.77 to 0.98 of their formula.
+# Peak bytes of generating an instance: tracemalloc peaks around ``instance_for`` (one size
+# per process, after a warm-up too small to split), rounded up. exp2 peaked at 4.13 (d, d)
+# float64 blocks at d = 400 and 800; exp1 and exp3 at n + 6.1 to n + 25.6 (n = 2 to 100, d = 100
+# to 400: both split halves hold QR temporaries), 1 KiB per component and 1 MiB of imports.
 _PEAK_BYTES = {"exp2": lambda n, d: 8 * 4.2 * d * d + 1024 * d}
-_PEAK_BYTES["exp1"] = _PEAK_BYTES["exp3"] = lambda n, d: 8 * (n + 5) * d * (d + 3) + 1024 * n
+_PEAK_BYTES["exp1"] = _PEAK_BYTES["exp3"] = lambda n, d: (
+    8 * (n + 5.5 * min(n, 2 * _QR_CHUNK)) * d * (d + 3) + 1024 * n + 2**20)
 
 
 def instance_for(cfg: RunConfig) -> ProblemInstance:

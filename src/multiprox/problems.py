@@ -32,11 +32,12 @@ _OPT_RESIDUAL_TOL = 1e-8
 # ProblemInstance.kept_rows, the one reader.
 KEPT_ROWS_MAX_SHARE = 0.2
 
-# The member eigenbasis bytes past which a stacked prox round is split
-# across two cores; see ProblemInstance.prox_rows, the one reader.
+# Stacked eigenbasis bytes past which a prox round or an instance's factoring splits on two
+# cores (_on_two_cores): a round's 40 us handoff pays from 4 MB at d = 100 (README). Factoring
+# paid from 4 matrices (0.3 MiB: 1.27 vs 1.47 ms, medians of 40); one rule keeps Tier-1 inline.
 _SPLIT_MIN_BYTES = 5 << 20
 
-# The one helper thread of split rounds, made on the first split.
+# The one helper thread of split work, made on the first split.
 _helper = None
 
 
@@ -60,6 +61,26 @@ def _drop_helper() -> None:
 
 
 os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _on_two_cores(count: int, nbytes: int, part: Callable[[int, int], None]) -> None:
+    """``part(0, count)``; past ``_SPLIT_MIN_BYTES`` of ``count`` > 1 items with two CPUs
+    allowed, the helper runs ``part(half, count)`` beside the caller's ``part(0, half)``, or
+    the caller does if it has not begun. ``part`` fills the caller's arrays with numpy alone."""
+    helper = _split_helper() if count > 1 and nbytes > _SPLIT_MIN_BYTES else None
+    if helper is None:
+        part(0, count)
+        return
+    # Whoever solves the upper half takes it from this list: a cancelled handoff stays
+    # queued until the helper wakes, and must not keep the caller's arrays alive meanwhile.
+    half = (count + 1) // 2
+    upper_half = [partial(part, half, count)]
+    upper = helper.submit(lambda: upper_half.pop()())
+    part(0, half)
+    if upper.cancel():
+        upper_half.pop()()
+    else:
+        upper.result()
 
 
 class _Infinite:
@@ -91,11 +112,13 @@ def harmonic_curvature(mu: float, L: Curvature) -> float:
 
 
 def inverse_total_curvature(L: Curvature, mu: float) -> float:
-    """1 / (L + mu), taken as 0 in the limit of unbounded L; refused at L = mu = 0."""
+    """1 / (L + mu), taken as 0 in the limit of unbounded L; refused at L = mu = 0 or overflow."""
     if is_infinite(L):
         return 0.0
     if L + mu <= 0:
         raise HypothesisViolation("inverse total curvature needs L + mu > 0")
+    if np.isinf(1.0 / float(L + mu)):
+        raise ConfigurationError(f"inverse total curvature 1/(L + mu) overflows at {L + mu:g}")
     return 1.0 / (L + mu)
 
 
@@ -324,18 +347,9 @@ class ProblemInstance:
         round has one; otherwise it is whole and the kept values are
         gathered from it. Any other instance calls its oracles one by one.
 
-        A stacked round whose member eigenbases pass ``_SPLIT_MIN_BYTES``
-        (5 MiB, 66 members at d = 100) runs on two cores when the process may
-        use two CPUs: one helper thread solves the upper half of the members
-        while the caller solves the lower half, and a helper that has not
-        begun its half when the caller is done leaves that half to the
-        caller. Each half makes the BLAS calls that the whole round makes on
-        its members, so the bytes do not depend on the split. The handoff
-        costs about 40 us, so smaller rounds stay inline: at d = 100 and
-        k = 10 on a 2-vCPU Xeon VM with one BLAS thread, a round of 40
-        members took 264 us inline against 283 split, 50 members 319 against
-        320, 70 members 425 against 381, and 100 members (8 MB, the
-        federated benchmark) 585 against 455.
+        A stacked round past ``_SPLIT_MIN_BYTES`` of member eigenbases (66 members at
+        d = 100) splits through :func:`_on_two_cores`; each half makes the BLAS calls
+        the whole round makes on its members, so the bytes do not depend on the split.
         """
         if not {"q", "lam", "b"} <= self.payload.keys():
             y = np.stack([self.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
@@ -383,22 +397,7 @@ class ProblemInstance:
             if pick is not None:
                 y.reshape(-1).take(pick[lo:hi], out=out[lo:hi], mode="clip")
 
-        helper = _split_helper() if m > 1 and m * q[0].nbytes > _SPLIT_MIN_BYTES else None
-        if helper is None:
-            part(0, m)
-            return out
-        # Whoever solves the upper half takes it from this list: a handoff
-        # the caller cancels stays queued until the helper wakes, and must
-        # not keep the round's arrays alive into the next round meanwhile.
-        half = (m + 1) // 2
-        upper_half = [partial(part, half, m)]
-        upper = helper.submit(lambda: upper_half.pop()())
-        part(0, half)
-        # a helper that has not started yet leaves its half to the caller
-        if upper.cancel():
-            upper_half.pop()()
-        else:
-            upper.result()
+        _on_two_cores(m, m * q[0].nbytes, part)
         return out
 
     def kept_rows(self, masks: Array, sizes: list[int]) -> list["KeptRows"]:
@@ -478,11 +477,24 @@ def _kept_row_layout(cols: Array, d: int) -> tuple[Array, Array]:
 
 def orthogonal_matrix(d: int, rng: np.random.Generator) -> Array:
     """Haar-distributed orthogonal matrix via sign-corrected Gaussian QR."""
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    a = rng.standard_normal((1, d, d))
+    _haar_factor(a)
+    return a[0]
+
+
+# Matrices per stacked QR of _haar_factor, chosen for peak RSS: importance-target's
+# rose 1.25 MB at 1 (which set up 8% slower), 2.1 at 2 and 3.2 MB at 4.
+_QR_CHUNK = 2
+
+
+def _haar_factor(a: Array) -> None:
+    """Replace each stacked matrix in ``a`` by its sign-corrected Q, bit for bit as if alone."""
+    for at in range(0, len(a), _QR_CHUNK):
+        chunk = a[at:at + _QR_CHUNK]
+        q, r = np.linalg.qr(chunk)
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        signs[signs == 0] = 1.0
+        np.multiply(q, signs[:, None, :], out=chunk)
 
 
 def _refined_solve(m: Array, rhs: Array) -> Array:
@@ -511,17 +523,16 @@ def _draw_spectral_components(
     zero_count: int,
     b_high: float,
 ):
-    # Per component, consumption order is Q, eigenvalues, linear term; the
-    # order is part of the determinism contract for generated instances.
+    # Per component, consumption order is Q's Gaussian draw, eigenvalues, linear
+    # term (the determinism contract of generated instances); then one stacked QR.
     qs = np.empty((n, d, d))
-    lams = np.empty((n, d))
+    lams = np.zeros((n, d))
     bs = np.empty((n, d))
     for i in range(n):
-        qs[i] = orthogonal_matrix(d, rng)
-        lam = np.zeros(d)
-        lam[zero_count:] = rng.uniform(eig_low[i], eig_high[i], size=d - zero_count)
-        lams[i] = lam
+        rng.standard_normal(out=qs[i])
+        lams[i, zero_count:] = rng.uniform(eig_low[i], eig_high[i], size=d - zero_count)
         bs[i] = rng.uniform(0.0, b_high, size=d)
+    _on_two_cores(n, qs.nbytes, lambda lo, hi: _haar_factor(qs[lo:hi]))
     return qs, lams, bs
 
 

@@ -302,7 +302,10 @@ def uniform_minibatch_plan(
     if L_f > 0:
         candidates.append(1.0 / L_f)
     if max_L_h > 0:
-        candidates.append(math.sqrt(s / (n * max_L_h * mu_total)))
+        curvature = n * max_L_h * mu_total
+        if not 0 < curvature < math.inf:
+            raise ConfigurationError(f"minibatch plan curvature {curvature:g} leaves float64")
+        candidates.append(math.sqrt(s / curvature))
     if not candidates:
         return StepsizePlan(gamma=VERY_LARGE_GAMMA, complexity=n / s)
     gamma = min(candidates)

@@ -249,6 +249,9 @@ def derive_params(
         return _derive_adaptive(instance, schedule, eta, p_empty, mu_h, p_hat, track_z)
 
     gamma = schedule.gamma
+    with np.errstate(over="ignore"):
+        if not np.isfinite(gamma * eta * mu_h).all():
+            raise ConfigurationError(f"stepsize {gamma} overflows a prox shrink gamma eta_i mu_i")
     if instance.f.L > 0 and gamma >= 2.0 / instance.f.L:
         raise HypothesisViolation(
             f"stepsize {gamma} not below 2/L_f = {2.0 / instance.f.L}"
@@ -295,7 +298,10 @@ def _derive_adaptive(instance, schedule, eta, p_empty, mu_h, p_hat, track_z):
     if p_empty == 0.0:
         # On this path the curvature transfer skips the harmonic factor:
         # components only need convexity, not smoothness.
-        mu_hat = float(np.min(2.0 * eta * mu_h))
+        with np.errstate(over="ignore"):
+            mu_hat = float(np.min(2.0 * eta * mu_h))
+        if math.isinf(mu_hat):
+            raise ConfigurationError("the curvature transfer min 2 eta_i mu_i overflows float64")
         mu_ref = max(instance.f.mu, instance.g.mu / 2.0, mu_hat / 2.0)
     else:
         mu_hat = 0.0
@@ -309,11 +315,14 @@ def _derive_adaptive(instance, schedule, eta, p_empty, mu_h, p_hat, track_z):
             f"schedule curvature {schedule.mu} does not match the certified {mu_ref}"
         )
     gamma_prev = gamma_at(schedule, -1)
-    if not math.isfinite(gamma_prev * gamma_prev):
-        # the Lyapunov weights square the stepsize of t = -1
+    # the Lyapunov weights square the stepsize of t = -1, and the squared
+    # dual errors scale as 1/(gamma_t eta_i)^2, largest at t = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        dual_scale = (1.0 / (gamma_at(schedule, 0) * eta)) ** 2
+    if not (0.0 < gamma_prev * gamma_prev < math.inf and np.isfinite(dual_scale).all()):
         raise ConfigurationError(
-            f"schedule curvature {schedule.mu} is too small: the squared stepsize "
-            f"{gamma_prev:g}^2 overflows float64"
+            f"schedule curvature {schedule.mu} with offset {schedule.a}: the squared stepsize "
+            f"{gamma_prev:g}^2 or a squared dual scale 1/(gamma_0 eta_i)^2 leaves float64"
         )
     smooth = instance.f.L + instance.f.mu
     if smooth > 0 and gamma_at(schedule, 0) > 2.0 / smooth + 1e-12:
@@ -709,9 +718,12 @@ def importance_plan(L_h, mu_f: float, mu_g: float, L_f: float = 0.0):
     if np.any(L < 0):
         raise HypothesisViolation("negative smoothness constant")
     n = L.size
-    b = np.maximum(1.0, np.sqrt(L / (n * strength)))
-    weights = b / b.sum()
+    with np.errstate(over="ignore"):
+        b = np.maximum(1.0, np.sqrt(L / (n * strength)))
     top = float(L.max())
+    if not math.isfinite(b.sum()) or top * strength == 0 < top:
+        raise ConfigurationError(f"importance scores of max L_i = {top:g} leave float64")
+    weights = b / b.sum()
     if top > 0:
         scale = max(math.sqrt(n / (top * strength)), 1.0 / strength)
     else:

@@ -29,8 +29,8 @@ def _blas_call(handle: ctypes.CDLL | None, symbols: tuple[str, ...], restype):
 def pytest_report_header(config):
     # bit-for-bit tests depend on how the BLAS blocks its kernels and on how
     # many threads it runs; name both in the log so that a mismatch
-    # elsewhere can be read from it alone, and which path a federated
-    # round's stacked prox took
+    # elsewhere can be read from it alone, and which paths could split
+    # across two cores
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas.get('name')} {blas.get('version')}"
@@ -46,13 +46,15 @@ def pytest_report_header(config):
     threads = _blas_call(handle, ("scipy_openblas_get_num_threads64_",
                                   "openblas_get_num_threads64_", "openblas_get_num_threads"),
                          ctypes.c_int)
-    # rounds past the threshold split across two cores when two may be used
+    # prox rounds and generated eigenbases past the threshold split across
+    # two cores when two may be used
     cpus = sorted(os.sched_getaffinity(0))
     split = f"on past {problems._SPLIT_MIN_BYTES >> 20} MiB" if len(cpus) > 1 else "off"
     return (f"numpy {np.__version__}, BLAS {name}, "
             f"runtime core {core.decode() if core else 'not exposed'}, "
             f"threads {'not exposed' if threads is None else threads}, "
-            f"CPUs {','.join(map(str, cpus))}, federated split {split}")
+            f"CPUs {','.join(map(str, cpus))}, "
+            f"two-core split of stacked prox rounds and instance factoring {split}")
 
 
 def pytest_configure(config):

@@ -80,6 +80,13 @@ class TestAggregation:
                                     row(0, 1.0, env=7.0, rep=1)])
         assert agg[0].theory_envelope == 7.0
 
+    def test_a_spread_whose_square_overflows_stays_finite(self):
+        # Lyapunov values 1e267 apart, as a dual weight of 1e300 once gave
+        agg = aggregate_replicates([row(0, 1.0, lyap=1.0, rep=0),
+                                    row(0, 1.0, lyap=1e267, rep=1)])
+        assert agg[0].lyapunov_stderr == pytest.approx(0.5e267, rel=1e-15)
+        assert agg[0].sq_dist_stderr == 0.0
+
     def test_early_stopped_replicates_aggregate_over_survivors(self):
         rows = [row(0, 1.0, rep=0), row(0, 1.0, rep=1), row(10, 0.5, rep=0)]
         agg = aggregate_replicates(rows)

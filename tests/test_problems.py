@@ -1,12 +1,17 @@
 """Oracle correctness, instance construction, and the batched prox."""
 
 import dataclasses
+import hashlib
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
 import weakref
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +71,9 @@ def test_inverse_total_curvature_values():
     assert inverse_total_curvature(INFINITE, 7.0) == 0.0
     with pytest.raises(HypothesisViolation):
         inverse_total_curvature(0.0, 0.0)
+    # 1 / 1e-317 has no float64
+    with pytest.raises(ConfigurationError, match="overflows"):
+        inverse_total_curvature(1e-317, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +633,98 @@ def test_one_allowed_cpu_starts_no_thread(monkeypatch):
     assert threading.active_count() == threads
     loop = np.stack([inst.h[i].prox(g, v) for i, g, v in zip(members, gammas, V)])
     assert np.array_equal(rows, loop[np.arange(SPLIT_M)[:, None], kept.cols])
+
+
+# ---------------------------------------------------------------------------
+# Split generation: the helper thread factors the upper half of the eigenbases
+
+
+def _instance_digest(inst):
+    arrays = [inst.payload["q"], inst.payload["lam"], inst.payload["b"],
+              inst.x_star, inst.u_star]
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (7, 33), (4, 64)])
+def test_stacked_factors_equal_one_qr_per_matrix(n, d):
+    # the sign-corrected QR the generator once made of each component alone
+    a = np.random.default_rng(n * d).standard_normal((n, d, d))
+    expected = []
+    for matrix in a:
+        q, r = np.linalg.qr(matrix)
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        expected.append(q * signs)
+    problems._haar_factor(a)
+    assert np.array_equal(a, np.stack(expected))
+
+
+@pytest.mark.parametrize("kind, n, d, threshold", [
+    # a threshold of zero splits every instance of two or more components
+    ("exp1", 3, 5, 0), ("exp3", 7, 33, 0), ("exp1", 5, 20, 0), ("exp3", 2, 8, 0),
+    ("exp3", SPLIT_M, SPLIT_D, None), ("exp1", 41, 128, None),
+    # 3.3 MB of eigenbases stay below the threshold
+    ("exp3", 101, 64, None),
+])
+def test_a_generated_instance_does_not_depend_on_the_split(kind, n, d, threshold, two_cpus,
+                                                          monkeypatch):
+    if threshold is not None:
+        monkeypatch.setattr(problems, "_SPLIT_MIN_BYTES", threshold)
+    real, helped = problems._split_helper, []
+    monkeypatch.setattr(problems, "_split_helper", lambda: helped.append(1) or real())
+    split = generate_instance(kind, 11, n=n, d=d)
+    assert bool(helped) == (n * 8 * d * d > problems._SPLIT_MIN_BYTES)
+    monkeypatch.setattr(problems, "_split_helper", lambda: None)
+    assert _instance_digest(split) == _instance_digest(generate_instance(kind, 11, n=n, d=d))
+
+
+_SPLIT_AND_INLINE = f"""
+import numpy as np
+from multiprox import problems
+problems.os.sched_getaffinity = lambda pid: {{0, 1}}
+def generate():
+    inst = problems.generate_instance("exp3", 5, n={SPLIT_M}, d={SPLIT_D})
+    return [*map(inst.payload.get, ("q", "lam", "b")), inst.x_star, inst.u_star]
+split = generate()
+helped = problems._helper is not None
+problems._split_helper = lambda: None
+print(helped, all(map(np.array_equal, split, generate())))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_split_instance_equals_the_inline_one_at_each_blas_thread_count(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(problems.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", _SPLIT_AND_INLINE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]
+
+
+def _forked_generation(conn):
+    # in a child forked after the parent used its helper
+    inherited = problems._helper
+    inst = generate_instance("exp3", 5, n=SPLIT_M, d=SPLIT_D)
+    conn.send((inherited is None, problems._helper is not None, _instance_digest(inst)))
+
+
+def test_a_forked_child_generates_a_split_instance(two_cpus, monkeypatch):
+    generate_instance("exp3", 5, n=SPLIT_M, d=SPLIT_D)
+    assert problems._helper is not None
+    with monkeypatch.context() as inline:
+        inline.setattr(problems, "_split_helper", lambda: None)
+        expected = _instance_digest(generate_instance("exp3", 5, n=SPLIT_M, d=SPLIT_D))
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_generation, args=(send,))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's split generation hung"
+        dropped, remade, digest = receive.recv()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+    assert dropped and remade
+    assert digest == expected

@@ -383,6 +383,13 @@ def test_uniform_minibatch_plan_sentinel_when_unconstrained():
     assert repr(VERY_LARGE_GAMMA) == "VERY_LARGE_GAMMA"
 
 
+def test_uniform_minibatch_plan_refuses_a_curvature_outside_float64():
+    # n max L_h mu underflows to 0 or overflows to inf
+    for max_L_h, mu_total in [(5e-324, 0.25), (1e308, 1e10)]:
+        with pytest.raises(ConfigurationError, match="leaves float64"):
+            uniform_minibatch_plan(n=2, s=1, L_f=0.0, max_L_h=max_L_h, mu_total=mu_total)
+
+
 def test_fed_plan_full_coverage_matches_uniform_plan():
     L, mu = 7.0, 0.4
     fed = fed_plan(n=5, d=9, k=9, s=5, L_h=L, mu_h=mu)

@@ -233,6 +233,12 @@ class TestSolverParamsValidation:
         with pytest.raises(ConfigurationError, match="too small"):
             SolverParams(np.array([1.0, 1e-10]), 1.0, 0.0, 0.0, Constant(1e-300))
 
+    def test_rejects_a_stepsize_whose_prox_shrink_overflows(self):
+        # the hyperplane prox's 1 + gamma eta_i mu_i overflowed in the first step
+        inst = generate_instance("exp2", 0, d=1, mu=2.0)
+        with pytest.raises(ConfigurationError, match="prox shrink"):
+            derive_params(inst, UniformMinibatch(1, 1), Constant(1e308))
+
 
 # ---------------------------------------------------------------------------
 # Initial state
@@ -1305,3 +1311,8 @@ class TestImportancePlan:
             importance_plan([1.0, INFINITE], mu_f=1.0, mu_g=0.0)
         with pytest.raises(HypothesisViolation):
             importance_plan([1.0, -2.0], mu_f=1.0, mu_g=0.0)
+        # scores and the curvature product that leave float64
+        with pytest.raises(ConfigurationError, match="importance scores"):
+            importance_plan([1e308], mu_f=1e-10, mu_g=0.0)
+        with pytest.raises(ConfigurationError, match="importance scores"):
+            importance_plan([5e-324], mu_f=0.25, mu_g=0.0)
